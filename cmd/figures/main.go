@@ -74,7 +74,6 @@ func run() (code int) {
 		refs       = flag.Uint64("refs", 1<<20, "measured references per run")
 		seed       = flag.Int64("seed", 42, "workload generator seed")
 		parallel   = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-		shards     = flag.Int("shards", 1, "intra-cell sharding: split each functional cell's reference stream across N goroutines (deterministic; >1 deviates from serial statistics)")
 		progress   = flag.Bool("progress", true, "stream per-row progress to stderr as cells finish")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -198,7 +197,7 @@ func run() (code int) {
 	}
 
 	cfg := tps.FigureConfig{
-		Refs: *refs, Seed: *seed, Parallelism: *parallel, Shards: *shards,
+		Refs: *refs, Seed: *seed, Parallelism: *parallel,
 		Context: ctx, CellTimeout: *cellTO, Retries: *retries,
 		Telemetry: rec,
 		Series:    seriesLog, SeriesEvery: *seriesN,
@@ -293,9 +292,6 @@ func run() (code int) {
 				Retries:      *retries,
 				StoreDir:     *storeDir,
 				Resume:       *resume,
-			}
-			if *shards > 1 {
-				m.Config.Shards = *shards
 			}
 			for _, w := range cfg.Suite {
 				m.Config.Suite = append(m.Config.Suite, w.Name)

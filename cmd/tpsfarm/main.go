@@ -61,14 +61,13 @@ func run() int {
 		suite       = flag.String("suite", "", "comma-separated workload subset (default: the full evaluation suite)")
 		refs        = flag.Uint64("refs", 1<<20, "measured references per cell")
 		seed        = flag.Int64("seed", 42, "workload generator seed")
-		shards      = flag.Int("shards", 1, "intra-cell sharding each worker applies (>1 deviates from serial statistics)")
 		storeDir    = flag.String("store", "", "shared result store: completions persist here and a restarted coordinator resumes from it")
 		ttl         = flag.Duration("ttl", 10*time.Second, "lease lifetime without a heartbeat; expired leases re-dispatch")
 		speculate   = flag.Duration("speculate", 0, "re-issue an in-flight cell to an idle worker after this lease age (0 = 3×ttl, <0 disables)")
 		maxFailures = flag.Int("max-failures", 3, "settle a cell as failed after this many worker-side errors")
 		progress    = flag.Bool("progress", true, "stream table rows to stderr as their cells land fleet-wide")
 		events      = flag.String("events", "", "append lease-protocol lifecycle events (JSONL) here; each line carries the worker involved (origin) and the lease generation")
-		traceOut    = flag.String("trace", "", "write the assembled run-wide span trace (JSONL; coordinator lease spans + worker attempt/shard spans) to this file at exit")
+		traceOut    = flag.String("trace", "", "write the assembled run-wide span trace (JSONL; coordinator lease spans + worker attempt spans) to this file at exit")
 	)
 	flag.Parse()
 
@@ -84,7 +83,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "tpsfarm: %v\n", err)
 		return 2
 	}
-	cfg := tps.FigureConfig{Refs: *refs, Seed: *seed, Shards: *shards}
+	cfg := tps.FigureConfig{Refs: *refs, Seed: *seed}
 	if *suite != "" {
 		for _, name := range strings.Split(*suite, ",") {
 			w, ok := tps.WorkloadByName(strings.TrimSpace(name))
@@ -175,7 +174,7 @@ func run() int {
 	if *traceOut != "" {
 		// Written on every exit path: an interrupted sweep still leaves
 		// spans for everything that was granted, completed, or expired
-		// up to the kill — including worker-side attempt/shard spans
+		// up to the kill — including worker-side attempt spans
 		// collected with completions.
 		defer func() {
 			f, err := os.Create(*traceOut)

@@ -6,7 +6,7 @@
 //     plus store-hit-rate, dedup, retry, and quarantine summaries.
 //   - A span trace (figures -spans, tpsfarm -trace) becomes a cell
 //     timeline, the run's critical path (run → latest-ending cell → its
-//     last attempt → its last shard), and straggler attribution — which
+//     last attempt), and straggler attribution — which
 //     workers' grants expired or were superseded, and how much wall
 //     clock the fleet lost to them.
 //
@@ -178,7 +178,6 @@ func renderTimeline(spans []span.Span) {
 	var cells []span.Span
 	leases := map[string][]span.Span{}   // keyed by parent cell span ID
 	attempts := map[string][]span.Span{} // keyed by parent cell span ID
-	shards := map[string][]span.Span{}   // keyed by parent attempt span ID
 	for i := range spans {
 		s := spans[i]
 		switch s.Kind {
@@ -192,8 +191,6 @@ func renderTimeline(spans []span.Span) {
 			leases[s.Parent] = append(leases[s.Parent], s)
 		case span.KindAttempt:
 			attempts[s.Parent] = append(attempts[s.Parent], s)
-		case span.KindShard:
-			shards[s.Parent] = append(shards[s.Parent], s)
 		}
 	}
 	sort.Slice(cells, func(i, j int) bool {
@@ -240,7 +237,7 @@ func renderTimeline(spans []span.Span) {
 			fmt.Printf("  run      %-28s %9s\n", run.Name, fmtDur(run.EndNS-run.StartNS))
 		}
 		// The cell that ends last bounds the run's wall clock; inside
-		// it, the last-ending attempt, and inside that, the last shard.
+		// it, the last-ending attempt.
 		last := cells[0]
 		for _, c := range cells[1:] {
 			if effEnd(c, t1) > effEnd(last, t1) {
@@ -258,16 +255,6 @@ func renderTimeline(spans []span.Span) {
 			}
 			fmt.Printf("  attempt  on %-25s %9s  +%s gen %d\n",
 				a.Worker, fmtDur(effEnd(a, t1)-a.StartNS), fmtDur(a.StartNS-t0), a.Gen)
-			if ss := shards[a.ID]; len(ss) > 0 {
-				sh := ss[0]
-				for _, s := range ss[1:] {
-					if effEnd(s, t1) > effEnd(sh, t1) {
-						sh = s
-					}
-				}
-				fmt.Printf("  shard    %-28s %9s  +%s\n",
-					sh.Name, fmtDur(effEnd(sh, t1)-sh.StartNS), fmtDur(sh.StartNS-t0))
-			}
 		}
 	}
 

@@ -90,7 +90,7 @@ func main() {
 		if opts.SeriesEvery == 0 {
 			opts.SeriesEvery = series.DefaultEvery
 		}
-		meta := series.Meta{Workload: w.Name, Scheme: setup.SchemeName(), Seed: *seed, Shards: 1}
+		meta := series.Meta{Workload: w.Name, Scheme: setup.SchemeName(), Seed: *seed}
 		opts.OnSeries = func(pts []series.Point, every uint64) {
 			seriesLog.WriteCell(meta, every, pts)
 		}

@@ -329,36 +329,18 @@ func (w *worker) runLease(ctx context.Context, slot int, lease *fabric.Lease) {
 // failures re-run under capped, jittered backoff; cancellation is final.
 // When the lease carries trace context it also returns the worker-side
 // spans — one attempt span per (re)run, parented to the cell span the
-// coordinator named in the lease, with per-shard child spans under each
-// attempt — for the completion RPC to ship back.
+// coordinator named in the lease — for the completion RPC to ship back.
 func (w *worker) computeWithRetries(ctx context.Context, slot int, ci telemetry.CellInfo, lease *fabric.Lease) (tps.Result, []span.Span, error) {
 	bo := fabric.Backoff{}
 	onRefs := w.rec.WorkerRefs(slot)
 	traced := lease.Trace != ""
-	var mu sync.Mutex // shard-span callbacks arrive from concurrent shard workers
 	var spans []span.Span
 	for attempt := 0; ; attempt++ {
-		var attemptID string
-		var onShard func(shard int, start, end time.Time)
-		if traced {
-			attemptID = span.NewID()
-			onShard = func(shard int, start, end time.Time) {
-				mu.Lock()
-				spans = append(spans, span.Span{
-					Trace: lease.Trace, ID: span.NewID(), Parent: attemptID,
-					Kind: span.KindShard, Name: fmt.Sprintf("shard-%d", shard),
-					Worker: w.client.Worker, Gen: lease.Generation,
-					StartNS: start.UnixNano(), EndNS: end.UnixNano(),
-					Outcome: span.OutcomeCompleted,
-				})
-				mu.Unlock()
-			}
-		}
 		start := time.Now()
-		res, err := tps.RunSpecObserved(ctx, lease.Spec, onRefs, onShard)
+		res, err := tps.RunSpec(ctx, lease.Spec, onRefs)
 		if traced {
 			sp := span.Span{
-				Trace: lease.Trace, ID: attemptID, Parent: lease.Span,
+				Trace: lease.Trace, ID: span.NewID(), Parent: lease.Span,
 				Kind:   span.KindAttempt,
 				Name:   lease.Spec.Workload + "/" + lease.Spec.Scheme,
 				Worker: w.client.Worker, Gen: lease.Generation,
@@ -369,9 +351,7 @@ func (w *worker) computeWithRetries(ctx context.Context, slot int, ci telemetry.
 				sp.Outcome = span.OutcomeFailed
 				sp.Err = err.Error()
 			}
-			mu.Lock()
 			spans = append(spans, sp)
-			mu.Unlock()
 		}
 		if err == nil || attempt >= w.retries || ctx.Err() != nil {
 			return res, spans, err

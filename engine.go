@@ -245,7 +245,7 @@ func (e *engine) attempt(ctx context.Context, key runKey, fn runFunc, onRefs fun
 }
 
 // cellFingerprint renders a cell's complete identity — every runKey field
-// plus the run-wide knobs (refs, seed, memory, shards) and the simulator
+// plus the run-wide knobs (refs, seed, memory) and the simulator
 // version salt — as the stable string the store key hashes. Two cells
 // share a fingerprint exactly when their Results must be identical.
 // The setup is identified by its stable scheme-registry name, never its
@@ -256,24 +256,16 @@ func (e *engine) attempt(ctx context.Context, key runKey, fn runFunc, onRefs fun
 // the fleet's dedup key too: SpecKey derives the identical fingerprint
 // from a wire-serialized fabric.CellSpec, so a cell computed by any
 // worker lands in the same store slot a local run would use.
-func cellFingerprint(refs uint64, seed int64, mem uint64, shards int, k runKey) string {
-	fp := fmt.Sprintf("%s|refs=%d|seed=%d|mem=%d|w=%s|scheme=%s|smt=%t|virt=%t|frag=%t|cyc=%t|thr=%g|sizing=%d|alias=%d|cfail=%t|lvl=%d|tlbe=%d|skew=%t|ce=%d",
+func cellFingerprint(refs uint64, seed int64, mem uint64, k runKey) string {
+	return fmt.Sprintf("%s|refs=%d|seed=%d|mem=%d|w=%s|scheme=%s|smt=%t|virt=%t|frag=%t|cyc=%t|thr=%g|sizing=%d|alias=%d|cfail=%t|lvl=%d|tlbe=%d|skew=%t|ce=%d",
 		SimVersion, refs, seed, mem,
 		k.name, k.setup.SchemeName(), k.smt, k.virt, k.frag, k.cyc,
 		k.threshold, k.sizing, k.alias, k.compactFail,
 		k.levels, k.tlbEntries, k.skewed, k.compactEvery)
-	// Sharded statistics deviate (deterministically) from serial ones, so
-	// sharded cells get their own fingerprint. Cycle-model and SMT cells
-	// ignore the knob (sim runs them serial); their keys stay unchanged so
-	// stores written by serial runs keep hitting.
-	if shards > 1 && !k.cyc && !k.smt {
-		fp += fmt.Sprintf("|shards=%d", shards)
-	}
-	return fp
 }
 
 func (e *engine) fingerprint(k runKey) string {
-	return cellFingerprint(e.cfg.Refs, e.cfg.Seed, e.cfg.MemoryPages, e.cfg.Shards, k)
+	return cellFingerprint(e.cfg.Refs, e.cfg.Seed, e.cfg.MemoryPages, k)
 }
 
 // cellKey is the cell's content address in the result store.

@@ -546,3 +546,40 @@ func TestStoreReplayShortCircuits(t *testing.T) {
 		t.Errorf("replay took %v; store reads are not short-circuiting", d)
 	}
 }
+
+// TestCellFingerprintPinned pins the literal store identity of three
+// representative cells — functional, cycle-model and SMT — at the
+// FigureConfig defaults. Every existing -store directory is keyed by
+// these strings; a change here orphans it, and must come with a
+// SimVersion bump instead.
+func TestCellFingerprintPinned(t *testing.T) {
+	r := NewRunner(FigureConfig{Seed: 42})
+	cases := []struct {
+		key     runKey
+		fp, hex string
+	}{
+		{
+			runKey{name: "gcc", setup: SetupTPS, frag: true},
+			"tps-sim-v2|refs=1048576|seed=42|mem=4194304|w=gcc|scheme=tps|smt=false|virt=false|frag=true|cyc=false|thr=0|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0",
+			"39bd28bda212b90b3462c4f1b2142115e6469d0ff2bef5840654dd32f1ad231d",
+		},
+		{
+			runKey{name: "mcf", setup: SetupTHP, cyc: true},
+			"tps-sim-v2|refs=1048576|seed=42|mem=4194304|w=mcf|scheme=thp|smt=false|virt=false|frag=false|cyc=true|thr=0|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0",
+			"5c031d94a4b6c047d711177267419fe57e932b7e3e229be1c3a436c59d8f28ca",
+		},
+		{
+			runKey{name: "gups", setup: SetupBase4K, smt: true, cyc: true},
+			"tps-sim-v2|refs=1048576|seed=42|mem=4194304|w=gups|scheme=base4k|smt=true|virt=false|frag=false|cyc=true|thr=0|sizing=0|alias=0|cfail=false|lvl=0|tlbe=0|skew=false|ce=0",
+			"61b746f314b5e878dda6bc813b7a66cc10ea6f6d4ed737e325e2dcb7fed5ad4c",
+		},
+	}
+	for _, c := range cases {
+		if got := r.eng.fingerprint(c.key); got != c.fp {
+			t.Errorf("%s/%s fingerprint:\n got %s\nwant %s", c.key.name, c.key.setup, got, c.fp)
+		}
+		if got := r.eng.cellKey(c.key); got != c.hex {
+			t.Errorf("%s/%s store key = %s, want %s", c.key.name, c.key.setup, got, c.hex)
+		}
+	}
+}

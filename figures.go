@@ -34,14 +34,6 @@ type FigureConfig struct {
 	// output is byte-identical at any setting: each cell is an
 	// independent deterministic machine and tables assemble serially.
 	Parallelism int
-	// Shards, when > 1, splits each functional cell's reference stream
-	// across that many worker goroutines (sim.Options.Shards): a single
-	// deep cell scales with cores instead of only the grid. Sharded runs
-	// are deterministic (two runs at the same setting are byte-identical)
-	// but NOT byte-identical to serial runs — per-shard TLB replicas see
-	// no cross-stripe interference — so sharded cells are stored under
-	// distinct fingerprints. Cycle-model and SMT cells always run serial.
-	Shards int
 	// Progress, when set, streams each table's rows there as their cells
 	// land (cmd/figures points it at stderr), so long runs show progress
 	// instead of going silent. Prefetch becomes fire-and-forget and the
@@ -209,7 +201,6 @@ func (r *Runner) runOpts(w Workload, opts Options, frag bool) (Result, error) {
 	if frag {
 		opts.PreFragment = fragstate.PreFragment(fragstate.DefaultParams())
 	}
-	opts.Shards = r.cfg.Shards
 	return r.eng.do(r.cfg.Context, key, func(ctx context.Context, onRefs func(uint64)) (Result, error) {
 		opts.Context = ctx
 		opts.OnRefs = onRefs
@@ -219,7 +210,7 @@ func (r *Runner) runOpts(w Workload, opts Options, frag bool) (Result, error) {
 				opts.SeriesEvery = series.DefaultEvery
 			}
 			meta := series.Meta{Workload: w.Name, Scheme: opts.Setup.SchemeName(),
-				Seed: opts.Seed, Shards: opts.Shards}
+				Seed: opts.Seed}
 			opts.OnSeries = func(pts []series.Point, every uint64) {
 				sink.WriteCell(meta, every, pts)
 			}

@@ -3,7 +3,6 @@ package tps
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"tps/internal/fabric"
 	"tps/internal/fragstate"
@@ -33,7 +32,6 @@ func FleetCells(cfg FigureConfig, setups []Setup) []fabric.CellSpec {
 				Refs:        cfg.Refs,
 				Seed:        cfg.Seed,
 				MemoryPages: cfg.MemoryPages,
-				Shards:      cfg.Shards,
 			})
 		}
 	}
@@ -77,7 +75,7 @@ func SpecKey(spec fabric.CellSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return store.KeyOf(cellFingerprint(spec.Refs, spec.Seed, spec.MemoryPages, spec.Shards, k)), nil
+	return store.KeyOf(cellFingerprint(spec.Refs, spec.Seed, spec.MemoryPages, k)), nil
 }
 
 // RunSpec computes one fleet cell: the worker-side execution path. onRefs
@@ -85,15 +83,6 @@ func SpecKey(spec fabric.CellSpec) (string, error) {
 // to what the engine computes for the same cell locally — both funnel
 // into sim.Run with identical options.
 func RunSpec(ctx context.Context, spec fabric.CellSpec, onRefs func(uint64)) (Result, error) {
-	return RunSpecObserved(ctx, spec, onRefs, nil)
-}
-
-// RunSpecObserved is RunSpec with the remaining observability hooks
-// attached: onShardSpan receives one (shard, start, end) call per
-// intra-cell shard worker as it retires, feeding worker-side shard spans
-// into the run trace. All hooks are pure observers — the Result stays
-// bit-identical to an unobserved run.
-func RunSpecObserved(ctx context.Context, spec fabric.CellSpec, onRefs func(uint64), onShardSpan func(shard int, start, end time.Time)) (Result, error) {
 	spec, w, _, err := specKeyParts(spec)
 	if err != nil {
 		return Result{}, err
@@ -105,10 +94,8 @@ func RunSpecObserved(ctx context.Context, spec fabric.CellSpec, onRefs func(uint
 		Seed:               spec.Seed,
 		MemoryPages:        spec.MemoryPages,
 		PromotionThreshold: spec.Threshold,
-		Shards:             spec.Shards,
 		Context:            ctx,
 		OnRefs:             onRefs,
-		OnShardSpan:        onShardSpan,
 	}
 	if spec.Frag {
 		opts.PreFragment = fragstate.PreFragment(fragstate.DefaultParams())

@@ -13,7 +13,7 @@ import (
 // — that equality is what makes duplicate completions dedupe and a
 // coordinator restart resume from any store a worker or a local run wrote.
 func TestSpecKeyMatchesEngineKey(t *testing.T) {
-	cfg := FigureConfig{Refs: 2000, Seed: 7, Shards: 1}
+	cfg := FigureConfig{Refs: 2000, Seed: 7}
 	e := newEngine(cfg.withDefaults())
 	setups, err := SchemesByName(SchemeNames())
 	if err != nil {

@@ -147,8 +147,8 @@ func (cl *Client) Complete(ctx context.Context, lease *Lease, result []byte, err
 	return cl.CompleteSpans(ctx, lease, result, errmsg, nil)
 }
 
-// CompleteSpans is Complete carrying the worker's child spans (attempts,
-// shards) for the run-wide trace. Spans ride the same idempotent request;
+// CompleteSpans is Complete carrying the worker's attempt spans for the
+// run-wide trace. Spans ride the same idempotent request;
 // a retried completion re-sends them and the coordinator's per-cell span
 // cap absorbs the duplication.
 func (cl *Client) CompleteSpans(ctx context.Context, lease *Lease, result []byte, errmsg string, spans []span.Span) (CompleteResponse, error) {

@@ -138,8 +138,8 @@ type cell struct {
 
 	// Tracing state. spanID names the cell span in the run trace; grants
 	// is the full lease timeline (every grant, with how each one ended);
-	// spans collects worker-returned child spans (attempts, shards),
-	// capped so a retry storm cannot grow coordinator memory unboundedly.
+	// spans collects worker-returned attempt spans, capped so a retry
+	// storm cannot grow coordinator memory unboundedly.
 	spanID  string
 	grants  []GrantRecord
 	spans   []span.Span
@@ -148,7 +148,7 @@ type cell struct {
 }
 
 // maxCellSpans bounds worker-returned spans kept per cell. 64 covers
-// MaxFailures×(attempt + max shards) with slack; beyond it the earliest
+// MaxFailures × (1 + retries) attempts with slack; beyond it the earliest
 // spans win (they are the straggler story).
 const maxCellSpans = 64
 
@@ -622,7 +622,7 @@ func (c *Coordinator) Snapshot() FleetSnapshot {
 // Trace assembles the run-wide distributed trace: the sweep's run span,
 // one cell span per grid entry, one lease span per grant — the
 // coordinator-side view, which is the ONLY evidence left by a worker that
-// died without completing — and every worker-returned attempt/shard span.
+// died without completing — and every worker-returned attempt span.
 // Callable at any point in the sweep; open work is rendered as live spans
 // ending now.
 func (c *Coordinator) Trace() []span.Span {

@@ -57,7 +57,6 @@ type CellSpec struct {
 	Refs        uint64  `json:"refs"`
 	Seed        int64   `json:"seed"`
 	MemoryPages uint64  `json:"memory_pages"`
-	Shards      int     `json:"shards,omitempty"`
 	Threshold   float64 `json:"threshold,omitempty"`
 	Frag        bool    `json:"frag,omitempty"`
 }
@@ -129,7 +128,7 @@ type RenewResponse struct {
 // CompleteRequest settles a cell: a JSON-encoded result, or an error
 // message for a cell that failed on the worker. Generation is advisory
 // (logged, never enforced) — completion validity is keyed by Key alone.
-// Spans carries the worker's child spans (attempts, shards) for the
+// Spans carries the worker's attempt spans for the
 // run-wide trace; the coordinator collects them even from duplicate
 // completions, because a late original's spans ARE the straggler story.
 type CompleteRequest struct {

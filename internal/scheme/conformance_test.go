@@ -182,7 +182,7 @@ func TestConformanceSimulatedRuns(t *testing.T) {
 // TestConformanceZeroAllocTranslate: the steady-state translate path —
 // where every cell spends its life — must not allocate, for any scheme,
 // on every hot-path variant: the default (translation cache in front of
-// the modeled hierarchy), the cache disabled, and the sharded router.
+// the modeled hierarchy) and the cache disabled.
 func TestConformanceZeroAllocTranslate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faults in a 64MB footprint per scheme and variant")
@@ -193,7 +193,6 @@ func TestConformanceZeroAllocTranslate(t *testing.T) {
 	}{
 		{"default", sim.Options{}},
 		{"cache-disabled", sim.Options{TransCache: -1}},
-		{"sharded-2", sim.Options{Shards: 2}},
 	}
 	for _, sch := range scheme.All() {
 		for _, v := range variants {

@@ -10,7 +10,6 @@ package sim
 //	go test -run='^$' -bench=RefLoop -benchmem ./internal/sim
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -22,7 +21,7 @@ import (
 // so the timed loop measures steady state (no faults, no promotions). The
 // footprint, pattern, and fault-in loop live in conformance.go
 // (newSteadyMachine), shared with the scheme conformance suite.
-func benchMachine(tb testing.TB, opts Options) (steadyTarget, []trace.Ref) {
+func benchMachine(tb testing.TB, opts Options) (*machine, []trace.Ref) {
 	tb.Helper()
 	m, pat, err := newSteadyMachine(opts)
 	if err != nil {
@@ -33,9 +32,7 @@ func benchMachine(tb testing.TB, opts Options) (steadyTarget, []trace.Ref) {
 
 // benchRefLoop delivers the pattern through RefBatch in Batcher-sized
 // chunks — the production delivery path — so ns/op is ns per simulated
-// reference as sim.Run pays it. For a sharded target the final drain
-// barrier is inside the timed region, so ns/op reflects completed
-// translations, not merely enqueued ones.
+// reference as sim.Run pays it.
 func benchRefLoop(b *testing.B, opts Options) {
 	m, pat := benchMachine(b, opts)
 	const chunk = 512
@@ -57,9 +54,6 @@ func benchRefLoop(b *testing.B, opts Options) {
 		}
 		n += k
 	}
-	if err := m.steadySync(); err != nil {
-		b.Fatal(err)
-	}
 }
 
 // BenchmarkRefLoop covers every registered scheme, keyed by stable
@@ -75,18 +69,6 @@ func BenchmarkRefLoop(b *testing.B) {
 func BenchmarkRefLoopNoCache(b *testing.B) {
 	for _, s := range []Setup{SetupTHP, SetupTPS} {
 		b.Run(s.SchemeName(), func(b *testing.B) { benchRefLoop(b, Options{Setup: s, TransCache: -1}) })
-	}
-}
-
-// BenchmarkRefLoopSharded measures intra-cell scaling: the same stream
-// routed across shard replicas. ns/op is wall time per reference seen by
-// the producer, so ideal scaling shows up as ns/op dividing by the shard
-// count.
-func BenchmarkRefLoopSharded(b *testing.B) {
-	for _, shards := range []int{2, 4} {
-		b.Run(fmt.Sprintf("tps-shards-%d", shards), func(b *testing.B) {
-			benchRefLoop(b, Options{Setup: SetupTPS, Shards: shards})
-		})
 	}
 }
 

@@ -47,44 +47,14 @@ func steadyPattern(base addr.Virt, bytes uint64, n int) []trace.Ref {
 	return refs
 }
 
-// steadyTarget abstracts the machine under steady-state test: the serial
-// machine or the sharded router, both driven through the production
-// RefBatch delivery path.
-type steadyTarget interface {
-	trace.BatchSink
-	// steadySync blocks until every delivered reference has been
-	// translated (a no-op for the serial machine, a drain barrier for the
-	// sharded router), surfacing any deferred worker error.
-	steadySync() error
-	// steadyMMUStats reports the (merged) translation counters. Call
-	// steadySync first.
-	steadyMMUStats() mmu.Stats
-}
-
-func (m *machine) steadySync() error         { return nil }
-func (m *machine) steadyMMUStats() mmu.Stats { return m.procs[0].mmu.Stats() }
-func (sm *shardedMachine) steadySync() error { return sm.barrier() }
-func (sm *shardedMachine) steadyMMUStats() mmu.Stats {
-	var s mmu.Stats
-	for _, m := range sm.machines {
-		s = addMMU(s, m.procs[0].mmu.Stats())
-	}
-	return s
-}
-
-// newSteadyMachine assembles the target for the options (sharded when
-// opts.Shards > 1) and faults in the footprint so subsequent batches
-// measure steady state (no faults, no promotions).
-func newSteadyMachine(opts Options) (steadyTarget, []trace.Ref, error) {
+// newSteadyMachine assembles the machine for the options and faults in the
+// footprint so subsequent batches measure steady state (no faults, no
+// promotions).
+func newSteadyMachine(opts Options) (*machine, []trace.Ref, error) {
 	if opts.MemoryPages == 0 {
 		opts.MemoryPages = 1 << 20
 	}
-	var m steadyTarget
-	if opts.Shards > 1 {
-		m = newShardedMachine(opts)
-	} else {
-		m = newMachine(opts)
-	}
+	m := newMachine(opts)
 	base, err := m.Mmap(steadyFootprint)
 	if err != nil {
 		return nil, nil, err
@@ -94,23 +64,19 @@ func newSteadyMachine(opts Options) (steadyTarget, []trace.Ref, error) {
 			return nil, nil, err
 		}
 	}
-	if err := m.steadySync(); err != nil {
-		return nil, nil, err
-	}
 	return m, steadyPattern(base, steadyFootprint, 1<<15), nil
 }
 
 // SteadyState is the exported face of the harness for external conformance
 // tests.
 type SteadyState struct {
-	m   steadyTarget
+	m   *machine
 	pat []trace.Ref
 	off int
 }
 
-// NewSteadyState builds a machine for the options — a sharded one when
-// opts.Shards > 1 — and faults in the whole footprint. The setup must
-// resolve in the scheme registry.
+// NewSteadyState builds a machine for the options and faults in the whole
+// footprint. The setup must resolve in the scheme registry.
 func NewSteadyState(opts Options) (*SteadyState, error) {
 	if _, err := opts.Setup.scheme(); err != nil {
 		return nil, err
@@ -124,7 +90,7 @@ func NewSteadyState(opts Options) (*SteadyState, error) {
 
 // Step delivers one 512-reference batch through the production RefBatch
 // path, wrapping around the pattern. It is allocation-free in steady state
-// for every conforming scheme, at any shard count and cache setting.
+// for every conforming scheme, at any cache setting.
 func (s *SteadyState) Step() error {
 	const chunk = 512
 	end := s.off + chunk
@@ -136,12 +102,6 @@ func (s *SteadyState) Step() error {
 	return err
 }
 
-// MMUStats exposes the driven machine's translation counters (merged
-// across shards) so invariant checks run against the same machine the
-// allocation check exercised.
-func (s *SteadyState) MMUStats() mmu.Stats {
-	// Sync so in-flight shard batches are reflected; the drain error (if
-	// any) already surfaced or will surface through Step.
-	_ = s.m.steadySync()
-	return s.m.steadyMMUStats()
-}
+// MMUStats exposes the driven machine's translation counters so invariant
+// checks run against the same machine the allocation check exercised.
+func (s *SteadyState) MMUStats() mmu.Stats { return s.m.procs[0].mmu.Stats() }

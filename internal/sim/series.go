@@ -11,17 +11,6 @@ package sim
 // add, and no effect whatsoever on modeled statistics — sampling only
 // reads counters, so golden stdout is byte-identical with -series on or
 // off.
-//
-// Under sharding the SAMPLER lives in the router, not the replicas
-// (newShardedMachine clears SeriesEvery in the replica options): each
-// probe drains the workers through the existing barrier and then reads
-// every replica directly, summing into one Point. Because the barrier
-// pins the probe to an exact global stream position — the router advances
-// by whole producer batches, identical to the serial machine's — the
-// epoch grid (the Refs column) of a sharded series matches the serial
-// one exactly. The VALUES deviate from serial by the documented sharded
-// amounts (per-replica TLBs, stripe-capped pages; DESIGN.md), but two
-// sharded runs with the same options are bit-identical.
 
 import (
 	"tps/internal/telemetry/series"
@@ -97,8 +86,8 @@ func (s *seriesSampler) flush(sink func(points []series.Point, every uint64)) {
 	sink(s.ring.Points(), s.ring.Every())
 }
 
-// sampleInto accumulates this machine's cumulative counters into p —
-// the serial probe, and the per-replica summand of the sharded probe.
+// sampleInto accumulates this machine's cumulative counters into p: the
+// probe the run's sampler calls at each epoch boundary.
 func (m *machine) sampleInto(p *series.Point) {
 	for _, pr := range m.procs {
 		ms := pr.mmu.Stats()

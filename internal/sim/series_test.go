@@ -2,14 +2,10 @@ package sim
 
 // The epoch-series contracts. (1) Zero-alloc: sampling inside the ref
 // loop must not allocate in steady state — for every registered scheme,
-// and under the sharded router and disabled-transcache variants, with an
-// aggressive interval so samples actually fire inside the measured
-// window. (2) No perturbation: a run's Result is bit-identical with the
-// series on or off. (3) Determinism: identical options produce
-// byte-identical series output, serial AND sharded; and the sharded
-// series lands on exactly the serial epoch grid (same Refs column, same
-// per-epoch ref deltas) even though the sampled values deviate by the
-// documented sharded amounts.
+// and with the translation cache disabled, with an aggressive interval so
+// samples actually fire inside the measured window. (2) No perturbation:
+// a run's Result is bit-identical with the series on or off. (3)
+// Determinism: identical options produce byte-identical series output.
 
 import (
 	"bytes"
@@ -35,33 +31,24 @@ func TestSeriesSamplerSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	variants := []struct {
-		name string
-		opts Options
-	}{
-		{"sharded-2", Options{Setup: SetupTPS, Shards: 2, SeriesEvery: 1024}},
-		{"cache-disabled", Options{Setup: SetupTPS, TransCache: -1, SeriesEvery: 1024}},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			got := allocsPerBatch(t, v.opts)
-			if got != 0 {
-				t.Fatalf("sampling RefBatch allocates %.2f allocs/op, want 0", got)
-			}
-		})
-	}
+	t.Run("cache-disabled", func(t *testing.T) {
+		got := allocsPerBatch(t, Options{Setup: SetupTPS, TransCache: -1, SeriesEvery: 1024})
+		if got != 0 {
+			t.Fatalf("sampling RefBatch allocates %.2f allocs/op, want 0", got)
+		}
+	})
 }
 
 // seriesRun executes one churn cell with sampling and returns the wire
 // records plus the Result.
-func seriesRun(t *testing.T, shards int, every uint64) ([]series.Record, Result) {
+func seriesRun(t *testing.T, every uint64) ([]series.Record, Result) {
 	t.Helper()
 	var pts []series.Point
 	var gotEvery uint64
 	w := churnWorkload(4, 256)
 	opts := Options{
 		Setup: SetupTPS, Refs: 30000, Seed: 42, MemoryPages: 1 << 20,
-		Shards: shards, SeriesEvery: every,
+		SeriesEvery: every,
 		OnSeries: func(p []series.Point, e uint64) {
 			pts = append([]series.Point(nil), p...)
 			gotEvery = e
@@ -74,7 +61,7 @@ func seriesRun(t *testing.T, shards int, every uint64) ([]series.Record, Result)
 	if len(pts) == 0 {
 		t.Fatal("run produced no series points")
 	}
-	meta := series.Meta{Workload: w.Name, Scheme: res.Scheme, Seed: opts.Seed, Shards: shards}
+	meta := series.Meta{Workload: w.Name, Scheme: res.Scheme, Seed: opts.Seed}
 	return series.RecordsFor(meta, gotEvery, pts), res
 }
 
@@ -94,56 +81,31 @@ func encodeRecords(t *testing.T, recs []series.Record) []byte {
 
 func TestSeriesDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four full cells")
+		t.Skip("runs two full cells")
 	}
-	s1a, _ := seriesRun(t, 1, 4096)
-	s1b, _ := seriesRun(t, 1, 4096)
-	if !bytes.Equal(encodeRecords(t, s1a), encodeRecords(t, s1b)) {
-		t.Error("serial series not byte-identical across identical runs")
-	}
-	s2a, _ := seriesRun(t, 2, 4096)
-	s2b, _ := seriesRun(t, 2, 4096)
-	if !bytes.Equal(encodeRecords(t, s2a), encodeRecords(t, s2b)) {
-		t.Error("sharded series not byte-identical across identical runs")
-	}
-	// Serial and sharded sample at identical global stream positions
-	// (the router advances by the same producer batches the serial
-	// machine does, and probes behind a drain barrier), so the epoch
-	// grids must coincide exactly. The counter VALUES deviate — sharded
-	// statistics are reproducible but not serial-identical, per
-	// DESIGN.md — so only the grid is compared.
-	if len(s1a) != len(s2a) {
-		t.Fatalf("epoch count diverged: serial %d, sharded %d", len(s1a), len(s2a))
-	}
-	for i := range s1a {
-		if s1a[i].Refs != s2a[i].Refs || s1a[i].Delta.Refs != s2a[i].Delta.Refs ||
-			s1a[i].Every != s2a[i].Every || s1a[i].Epoch != s2a[i].Epoch {
-			t.Fatalf("epoch %d grid diverged: serial (refs=%d Δ%d every=%d), sharded (refs=%d Δ%d every=%d)",
-				i, s1a[i].Refs, s1a[i].Delta.Refs, s1a[i].Every,
-				s2a[i].Refs, s2a[i].Delta.Refs, s2a[i].Every)
-		}
+	a, _ := seriesRun(t, 4096)
+	b, _ := seriesRun(t, 4096)
+	if !bytes.Equal(encodeRecords(t, a), encodeRecords(t, b)) {
+		t.Error("series not byte-identical across identical runs")
 	}
 }
 
 // TestSeriesDoesNotPerturbResult is the golden-stdout guarantee at its
 // root: sampling only reads counters, so the Result of a sampled run is
-// bit-identical to the unsampled one — serial and sharded.
+// bit-identical to the unsampled one.
 func TestSeriesDoesNotPerturbResult(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four full cells")
+		t.Skip("runs two full cells")
 	}
-	for _, shards := range []int{1, 2} {
-		_, sampled := seriesRun(t, shards, 4096)
-		w := churnWorkload(4, 256)
-		plain, err := Run(w, Options{
-			Setup: SetupTPS, Refs: 30000, Seed: 42, MemoryPages: 1 << 20, Shards: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sampled, plain) {
-			t.Errorf("shards=%d: sampled Result differs from unsampled", shards)
-		}
+	_, sampled := seriesRun(t, 4096)
+	plain, err := Run(churnWorkload(4, 256), Options{
+		Setup: SetupTPS, Refs: 30000, Seed: 42, MemoryPages: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sampled, plain) {
+		t.Error("sampled Result differs from unsampled")
 	}
 }
 
@@ -154,7 +116,7 @@ func TestSeriesFinalPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full cell")
 	}
-	recs, _ := seriesRun(t, 1, 8192)
+	recs, _ := seriesRun(t, 8192)
 	last := recs[len(recs)-1]
 	if last.Refs%8192 == 0 && len(recs) < 2 {
 		t.Fatalf("suspicious single boundary-aligned record: %+v", last)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"tps/internal/addr"
 	"tps/internal/buddy"
@@ -174,12 +173,6 @@ type Options struct {
 	// consumers copy or serialize before returning.
 	OnSeries func(points []series.Point, every uint64)
 
-	// OnShardSpan, when set on a sharded run, reports each shard worker
-	// goroutine's wall-clock lifetime (shard index, start, end) as the
-	// workers drain. Observability only; may be called concurrently from
-	// worker goroutines.
-	OnShardSpan func(shard int, start, end time.Time)
-
 	// OS knobs (TPS setups).
 	PromotionThreshold float64
 	Sizing             vmm.Sizing
@@ -205,27 +198,12 @@ type Options struct {
 	// disjoint address ranges) through the same translation hardware.
 	SMT bool
 
-	// Shards, when > 1, splits the reference stream across that many
-	// worker goroutines at 2 MB stripe granularity, each driving a full
-	// machine replica, with a deterministic merge of the per-shard
-	// statistics (see shard.go). Two runs with identical options are
-	// bit-identical; a sharded run is NOT bit-identical to the serial
-	// one (per-replica TLBs see no cross-stripe interference). Applies
-	// to functional runs only: cycle-model and SMT runs are inherently
-	// serial and ignore the knob.
-	Shards int
-
 	// TransCache overrides the MMU's software translation-cache sizing:
 	// 0 keeps the default, negative disables the cache, positive is an
 	// entry count (rounded up to a power of two). Purely a simulator
 	// fast path — every reported statistic is bit-identical at any
 	// setting.
 	TransCache int
-
-	// shardReplica marks a machine built as one shard's replica:
-	// newMachine caps the kernel's page construction at the 2 MB stripe
-	// size so no page spans stripes owned by other shards.
-	shardReplica bool
 }
 
 // Result is one run's measurements.
@@ -434,23 +412,6 @@ func newMachine(opts Options) *machine {
 	if opts.Levels != 0 {
 		kcfg.Levels = opts.Levels
 	}
-	if opts.shardReplica {
-		// A shard replica only ever sees references within its own 2 MB
-		// stripes, so pages larger than a stripe would span address space
-		// belonging to other shards and double-count in the merged census.
-		if kcfg.MaxTailoredOrder > addr.Order2M {
-			kcfg.MaxTailoredOrder = addr.Order2M
-		}
-		if kcfg.PromotionGranules != nil {
-			granules := make([]addr.Order, 0, len(kcfg.PromotionGranules))
-			for _, o := range kcfg.PromotionGranules {
-				if o <= addr.Order2M {
-					granules = append(granules, o)
-				}
-			}
-			kcfg.PromotionGranules = granules
-		}
-	}
 
 	mcfg := mmu.DefaultConfig(sch.Organization())
 	mcfg.Levels = kcfg.Levels
@@ -484,9 +445,7 @@ func newMachine(opts Options) *machine {
 		m.pl2 = cpu.New(cpu.DefaultParams())
 		m.ideal = cpu.New(cpu.DefaultParams())
 	}
-	// The probe closure is bound once here, never per sample. Shard
-	// replicas never sample (newShardedMachine clears SeriesEvery in the
-	// replica options; the router owns the sampler).
+	// The probe closure is bound once here, never per sample.
 	m.sampler = newSeriesSampler(opts.SeriesEvery, m.sampleInto)
 	return m
 }
@@ -644,9 +603,6 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 		if err := opts.Context.Err(); err != nil {
 			return Result{}, err
 		}
-	}
-	if opts.Shards > 1 && !opts.SMT && !opts.CycleModel {
-		return runSharded(w, opts)
 	}
 	m := newMachine(opts)
 

@@ -38,8 +38,7 @@ type CellRecord struct {
 }
 
 // RunConfig is the manifest's record of the sweep's configuration — what
-// a resumed or sharded run must match for its store entries to be
-// compatible.
+// a resumed run must match for its store entries to be compatible.
 type RunConfig struct {
 	Refs         uint64   `json:"refs"`
 	Seed         int64    `json:"seed"`
@@ -51,10 +50,6 @@ type RunConfig struct {
 	Retries      int      `json:"retries,omitempty"`
 	StoreDir     string   `json:"store_dir,omitempty"`
 	Resume       bool     `json:"resume,omitempty"`
-	// Shards is the intra-cell sharding width (sim.Options.Shards);
-	// omitted for serial runs. Sharded statistics are deterministic but
-	// not bit-identical to serial ones, so the manifest must record it.
-	Shards int `json:"shards,omitempty"`
 }
 
 // ExitStatus records how the run ended: "ok", "interrupted" (signal), or
@@ -68,7 +63,7 @@ type ExitStatus struct {
 // Manifest is the atomic end-of-run record: enough to attribute every
 // number the run produced (simulator version salt, config, seeds), audit
 // where the wall-clock went (per-cell records), and decide whether a
-// sharded/resumed run may reuse this run's store entries.
+// resumed run may reuse this run's store entries.
 type Manifest struct {
 	Version    string       `json:"version"` // simulator version salt
 	GoVersion  string       `json:"go_version"`

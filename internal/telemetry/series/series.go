@@ -141,7 +141,6 @@ type Meta struct {
 	Workload string
 	Scheme   string
 	Seed     int64
-	Shards   int
 }
 
 // Counters is the per-epoch delta block of a Record.
@@ -169,7 +168,6 @@ type Record struct {
 	Workload string `json:"workload"`
 	Scheme   string `json:"scheme"`
 	Seed     int64  `json:"seed"`
-	Shards   int    `json:"shards,omitempty"`
 	Epoch    int    `json:"epoch"`
 	Every    uint64 `json:"every"` // final interval after any decimation
 	Refs     uint64 `json:"refs"`  // cumulative stream position
@@ -244,7 +242,6 @@ func RecordsFor(meta Meta, every uint64, pts []Point) []Record {
 			Workload: meta.Workload,
 			Scheme:   meta.Scheme,
 			Seed:     meta.Seed,
-			Shards:   meta.Shards,
 			Epoch:    i,
 			Every:    every,
 			Refs:     p.Refs,

@@ -103,7 +103,7 @@ func TestLogAndReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLog(&buf)
 	pts := []Point{{Refs: 100, Accesses: 80}, {Refs: 200, Accesses: 170}}
-	l.WriteCell(Meta{Workload: "gups", Scheme: "tps", Seed: 1, Shards: 2}, 100, pts)
+	l.WriteCell(Meta{Workload: "gups", Scheme: "tps", Seed: 1}, 100, pts)
 	if err := l.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLogAndReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[1].Shards != 2 || recs[1].Delta.Accesses != 90 {
+	if len(recs) != 2 || recs[1].Delta.Accesses != 90 {
 		t.Fatalf("round trip lost data: %+v", recs)
 	}
 }

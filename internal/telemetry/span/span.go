@@ -2,8 +2,8 @@
 // One sweep produces one trace: a run span at the root, a cell span per
 // grid cell, a lease span per coordinator grant of that cell (so work
 // lost to SIGKILLed workers is still visible — the grant record is the
-// only evidence they leave), worker-side attempt spans per compute try,
-// and shard spans per intra-cell shard goroutine. Span IDs ride the
+// only evidence they leave), and worker-side attempt spans per compute
+// try. Span IDs ride the
 // fabric lease protocol: the coordinator stamps each lease with the trace
 // ID and the cell's span ID, workers parent their attempt spans under it
 // and return them in the completion payload, and the coordinator
@@ -36,7 +36,6 @@ const (
 	KindCell    = "cell"    // one per grid cell, parented to the run
 	KindLease   = "lease"   // one per coordinator grant, parented to the cell
 	KindAttempt = "attempt" // one per worker compute try, parented to the cell
-	KindShard   = "shard"   // one per intra-cell shard worker, parented to the attempt
 )
 
 // Outcome vocabulary. Cells and leases use the coordinator's view;

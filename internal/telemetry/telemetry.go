@@ -57,8 +57,9 @@ type Recorder struct {
 	log    *EventLog // nil: no events file
 	origin string    // fleet worker name stamped on every event; "" for local runs
 
-	workersOnce sync.Once
-	workers     []worker
+	// workers is set once, by ConfigureWorkers, and may be read by a
+	// metrics handler that is already serving — hence the atomic.
+	workers atomic.Pointer[[]worker]
 
 	cellsQueued atomic.Uint64 // flights created (the running "total")
 	cellsDone   atomic.Uint64 // finished + store-hit
@@ -106,17 +107,30 @@ func (r *Recorder) ConfigureWorkers(n int) {
 	if r == nil || n <= 0 {
 		return
 	}
-	r.workersOnce.Do(func() { r.workers = make([]worker, n) })
+	ws := make([]worker, n)
+	r.workers.CompareAndSwap(nil, &ws)
+}
+
+// slots returns the per-worker state; nil until ConfigureWorkers.
+func (r *Recorder) slots() []worker {
+	if p := r.workers.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // WorkerRefs returns the per-batch reference hook for a worker slot, or
 // nil when telemetry is off — the simulator calls it once per delivered
 // batch, never per reference.
 func (r *Recorder) WorkerRefs(slot int) func(n uint64) {
-	if r == nil || slot < 0 || slot >= len(r.workers) {
+	if r == nil {
 		return nil
 	}
-	w := &r.workers[slot]
+	ws := r.slots()
+	if slot < 0 || slot >= len(ws) {
+		return nil
+	}
+	w := &ws[slot]
 	return func(n uint64) { w.refs.Add(n) }
 }
 
@@ -182,8 +196,8 @@ func (r *Recorder) CellStarted(ci CellInfo, slot int) {
 	if r == nil {
 		return
 	}
-	if slot >= 0 && slot < len(r.workers) {
-		w := &r.workers[slot]
+	if ws := r.slots(); slot >= 0 && slot < len(ws) {
+		w := &ws[slot]
 		w.mu.Lock()
 		w.cell = ci.label()
 		w.since = time.Now()
@@ -247,10 +261,11 @@ func (r *Recorder) StoreQuarantined(key string) {
 }
 
 func (r *Recorder) clearWorker(slot int) {
-	if slot < 0 || slot >= len(r.workers) {
+	ws := r.slots()
+	if slot < 0 || slot >= len(ws) {
 		return
 	}
-	w := &r.workers[slot]
+	w := &ws[slot]
 	w.mu.Lock()
 	w.cell = ""
 	w.since = time.Time{}
@@ -280,8 +295,9 @@ func (r *Recorder) recordCell(c CellRecord) {
 // refsTotal sums the per-worker batch counters.
 func (r *Recorder) refsTotal() uint64 {
 	var n uint64
-	for i := range r.workers {
-		n += r.workers[i].refs.Load()
+	ws := r.slots()
+	for i := range ws {
+		n += ws[i].refs.Load()
 	}
 	return n
 }
@@ -350,13 +366,15 @@ func (r *Recorder) Snapshot() Snapshot {
 	s.ETAS = r.etaLocked(s)
 	r.mu.Unlock()
 
-	for i := range r.workers {
-		w := &r.workers[i]
+	ws := r.slots()
+	for i := range ws {
+		w := &ws[i]
 		ws := WorkerSnapshot{ID: i, Refs: w.refs.Load()}
 		w.mu.Lock()
 		ws.Cell = w.cell
 		if !w.since.IsZero() {
-			ws.ElapsedS = now.Sub(w.since).Seconds()
+			// Not the snapshot's now: a cell may have started after it.
+			ws.ElapsedS = time.Since(w.since).Seconds()
 		}
 		w.mu.Unlock()
 		s.Workers = append(s.Workers, ws)
@@ -373,7 +391,7 @@ func (r *Recorder) etaLocked(s Snapshot) float64 {
 	if r.ewmaNS == 0 || s.CellsQueued <= settled {
 		return -1
 	}
-	workers := len(r.workers)
+	workers := len(r.slots())
 	if workers == 0 {
 		workers = 1
 	}

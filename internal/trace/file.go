@@ -12,18 +12,23 @@ import (
 
 // Trace file format: one event per line, whitespace-separated.
 //
-//	mmap <bytes>             request a mapping (regions are numbered in
-//	                         order of appearance, starting at 0)
+//	mmap <bytes>             request a mapping of at most 1 TB (regions are
+//	                         numbered in order of appearance, starting at 0)
 //	munmap <region>          release a region
 //	phase <name>             phase marker ("main" starts measurement)
 //	r <region> <off> [d] [g<gap>]   read at region-relative offset
 //	w <region> <off> [d] [g<gap>]   write at region-relative offset
 //
-// Offsets are region-relative so a dumped trace replays identically under
-// any OS policy (absolute virtual layout depends on the policy's
-// alignment choices). `d` marks an address dependence on the previous
+// Offsets are region-relative, and must lie inside the region, so a dumped
+// trace replays identically under any OS policy (absolute virtual layout
+// depends on the policy's alignment choices). `d` marks an address dependence on the previous
 // load; `g<N>` gives the instruction gap. Lines starting with '#' are
 // comments.
+
+// maxRegion is the largest mapping a trace file may carry. FileWriter
+// spaces its synthetic region bases this far apart, so no two regions
+// overlap and every address locates to exactly one region and offset.
+const maxRegion = 1 << 40
 
 // FileWriter is a Sink that serializes the stream to a trace file.
 type FileWriter struct {
@@ -45,7 +50,10 @@ func NewFileWriter(w io.Writer) *FileWriter {
 // Mmap implements Sink: it assigns the next region number and a synthetic
 // base address.
 func (f *FileWriter) Mmap(size uint64) (addr.Virt, error) {
-	base := addr.Virt(uint64(f.next+1) << 40)
+	if size > maxRegion {
+		return 0, fmt.Errorf("trace: mmap of %d bytes exceeds the %d-byte region limit", size, uint64(maxRegion))
+	}
+	base := addr.Virt(uint64(f.next+1) * maxRegion)
 	f.regions = append(f.regions, regionSpan{base: base, size: size})
 	f.next++
 	if _, err := fmt.Fprintf(f.w, "mmap %d\n", size); err != nil {
@@ -113,7 +121,7 @@ func (f *FileWriter) locate(a addr.Virt) (int, uint64, error) {
 func Replay(r io.Reader, s Sink) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var bases []addr.Virt
+	var regions []regionSpan
 	line := 0
 	for sc.Scan() {
 		line++
@@ -134,17 +142,23 @@ func Replay(r io.Reader, s Sink) error {
 			if err != nil {
 				return fail(err)
 			}
+			if size > maxRegion {
+				return fail(fmt.Errorf("mmap of %d bytes exceeds the %d-byte region limit", size, uint64(maxRegion)))
+			}
 			base, err := s.Mmap(size)
 			if err != nil {
 				return fail(err)
 			}
-			bases = append(bases, base)
+			regions = append(regions, regionSpan{base: base, size: size})
 		case "munmap":
+			if len(fields) != 2 {
+				return fail(fmt.Errorf("munmap wants 1 arg"))
+			}
 			reg, err := strconv.Atoi(fields[1])
-			if err != nil || reg < 0 || reg >= len(bases) {
+			if err != nil || reg < 0 || reg >= len(regions) {
 				return fail(fmt.Errorf("bad region %q", fields[1]))
 			}
-			if err := s.Munmap(bases[reg]); err != nil {
+			if err := s.Munmap(regions[reg].base); err != nil {
 				return fail(err)
 			}
 		case "phase":
@@ -156,14 +170,17 @@ func Replay(r io.Reader, s Sink) error {
 				return fail(fmt.Errorf("ref wants region and offset"))
 			}
 			reg, err := strconv.Atoi(fields[1])
-			if err != nil || reg < 0 || reg >= len(bases) {
+			if err != nil || reg < 0 || reg >= len(regions) {
 				return fail(fmt.Errorf("bad region %q", fields[1]))
 			}
 			off, err := strconv.ParseUint(fields[2], 10, 64)
 			if err != nil {
 				return fail(err)
 			}
-			ref := Ref{Addr: bases[reg] + addr.Virt(off), Write: fields[0] == "w"}
+			if off >= regions[reg].size {
+				return fail(fmt.Errorf("offset %d outside region %d (%d bytes)", off, reg, regions[reg].size))
+			}
+			ref := Ref{Addr: regions[reg].base + addr.Virt(off), Write: fields[0] == "w"}
 			for _, extra := range fields[3:] {
 				switch {
 				case extra == "d":

@@ -146,6 +146,9 @@ func TestReplayRejectsMalformed(t *testing.T) {
 		"mmap 4096\nr 0 xyz\n",
 		"mmap 4096\nr 0 0 q\n",
 		"munmap 3\n",
+		"mmap 4096\nmunmap\n",   // munmap without its region
+		"mmap 4096\nr 0 4096\n", // offset past the region end
+		"mmap 1099511627777\n",  // region above the 1 TB limit
 	}
 	for _, c := range cases {
 		if err := Replay(strings.NewReader(c), &recordSink{}); err == nil {

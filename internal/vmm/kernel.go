@@ -79,8 +79,8 @@ type Kernel struct {
 
 	// promosByOrder resolves stats.Promotions by target page order.
 	// Observability only (the epoch time-series): deliberately outside
-	// Stats so the Result schema, the store fingerprint, and the SMT/shard
-	// merge arithmetic stay untouched.
+	// Stats so the Result schema, the store fingerprint, and the SMT merge
+	// arithmetic stay untouched.
 	promosByOrder [addr.MaxOrder + 1]uint64
 }
 

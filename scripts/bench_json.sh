@@ -6,8 +6,8 @@
 #
 # Coverage: every registered scheme (BenchmarkRefLoop iterates the
 # registry), the translation-cache before/after rows (RefLoopNoCache),
-# the intra-cell shard-scaling rows (RefLoopSharded), the cycle model,
-# and the telemetry on/off pair. Rows carry a speedup column against the
+# the series-sampling rows (RefLoopSeries), the cycle model, and the
+# telemetry on/off pair. Rows carry a speedup column against the
 # committed BENCH_PR2.json ns/ref where that record has the same setup.
 #
 # The JSON lands atomically: awk writes to a temp file that is renamed
@@ -71,16 +71,6 @@ BEGIN {
         sub(/-[0-9]+$/, "", name)
         name = name "+series"
     }
-    shards = 0
-    if (name ~ /^BenchmarkRefLoopSharded\//) {
-        # "BenchmarkRefLoopSharded/tps-shards-4" plus an optional "-N"
-        # GOMAXPROCS suffix (absent when GOMAXPROCS=1) — pull the shard
-        # count out positionally so the suffix strip cannot eat it.
-        sub(/^BenchmarkRefLoopSharded\//, "", name)
-        match(name, /-shards-[0-9]+/)
-        shards = substr(name, RSTART + 8, RLENGTH - 8)
-        name = substr(name, 1, RSTART - 1) "+shards-" shards
-    }
     if (name ~ /^BenchmarkRefLoop\//) {
         sub(/^BenchmarkRefLoop\//, "", name)
         sub(/-[0-9]+$/, "", name)  # strip GOMAXPROCS suffix if present
@@ -94,7 +84,7 @@ BEGIN {
         if (!(name in bestNs) || ns + 0 < bestNs[name] + 0) bestNs[name] = ns
         if (allocs != "" && (!(name in worstAllocs) || allocs + 0 > worstAllocs[name] + 0))
             worstAllocs[name] = allocs
-        if (!(name in seen)) { seen[name] = 1; names[++n] = name; shardsOf[name] = shards }
+        if (!(name in seen)) { seen[name] = 1; names[++n] = name }
     }
 }
 END {
@@ -111,11 +101,8 @@ END {
         if (name in base) {
             extra = sprintf(", \"pr2_ns_per_ref\": %s, \"speedup_vs_pr2\": %.2f", base[name], base[name] / ns)
         }
-        if (shardsOf[name] != 0) {
-            extra = extra sprintf(", \"shards\": %s", shardsOf[name])
-        }
         scheme = name
-        sub(/\+.*/, "", scheme)  # "tps+shards-4" benches the tps scheme
+        sub(/\+.*/, "", scheme)  # "tps+nocache" benches the tps scheme
         allocs = (name in worstAllocs) ? worstAllocs[name] : "null"
         printf "    {\"setup\": \"%s\", \"scheme\": \"%s\", \"ns_per_ref\": %s, \"allocs_per_ref\": %s%s}%s\n", name, scheme, ns, allocs, extra, i < n ? "," : ""
     }
