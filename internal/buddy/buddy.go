@@ -2,7 +2,9 @@
 // OS layer depends on (§II-B). It tracks all free physical memory in
 // per-order free lists of naturally aligned power-of-two blocks, splitting
 // larger blocks on demand and eagerly merging freed buddies, exactly as the
-// Linux allocator the paper describes.
+// Linux allocator the paper describes. Each free list, and each order's set
+// of allocated blocks, is a bitmap with one bit per aligned block; the
+// lowest-addressed free block is always handed out first.
 //
 // Beyond allocation, the package provides the pieces the evaluation needs:
 //
@@ -14,28 +16,72 @@
 package buddy
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"tps/internal/addr"
 )
 
-// pfnHeap is a min-heap of frame numbers. Together with the membership maps
-// it gives deterministic lowest-address-first allocation (entries deleted by
-// buddy merges are discarded lazily at pop time).
-type pfnHeap []addr.PFN
+// blockSet is the set of naturally aligned blocks of one order, one bit per
+// block (bit i is the block starting at frame i<<order). count caches the
+// population; no bit is set in a word below low, so the lowest member is
+// found by scanning forward from there.
+type blockSet struct {
+	words []uint64
+	count int
+	low   int
+}
 
-func (h pfnHeap) Len() int            { return len(h) }
-func (h pfnHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h pfnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pfnHeap) Push(x interface{}) { *h = append(*h, x.(addr.PFN)) }
-func (h *pfnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func newBlockSet(totalPages uint64, o addr.Order) blockSet {
+	blocks := totalPages >> uint(o)
+	n := int((blocks + 63) / 64)
+	return blockSet{words: make([]uint64, n), low: n}
+}
+
+// has reports whether block i is in the set; indexes past the end are not.
+func (s *blockSet) has(i uint64) bool {
+	w := i / 64
+	return w < uint64(len(s.words)) && s.words[w]&(1<<(i%64)) != 0
+}
+
+func (s *blockSet) add(i uint64) {
+	w := int(i / 64)
+	s.words[w] |= 1 << (i % 64)
+	s.count++
+	if w < s.low {
+		s.low = w
+	}
+}
+
+func (s *blockSet) remove(i uint64) {
+	s.words[i/64] &^= 1 << (i % 64)
+	s.count--
+}
+
+// popLowest removes and returns the lowest block index in the set.
+func (s *blockSet) popLowest() (uint64, bool) {
+	if s.count == 0 {
+		return 0, false
+	}
+	w := s.low
+	for s.words[w] == 0 {
+		w++
+	}
+	s.low = w
+	b := bits.TrailingZeros64(s.words[w])
+	s.words[w] &^= 1 << uint(b)
+	s.count--
+	return uint64(w)*64 + uint64(b), true
+}
+
+// each calls fn with every block index in the set, in ascending order.
+func (s *blockSet) each(fn func(i uint64)) {
+	for w := s.low; w < len(s.words); w++ {
+		for x := s.words[w]; x != 0; x &= x - 1 {
+			fn(uint64(w)*64 + uint64(bits.TrailingZeros64(x)))
+		}
+	}
 }
 
 // MaxOrder is the largest block order the allocator manages. Linux uses 11
@@ -62,16 +108,15 @@ type Allocator struct {
 	totalPages uint64
 	freePages  uint64
 
-	// freeLists[o] holds the starting PFN of every free order-o block,
-	// as a set for O(1) buddy lookup during merge. heaps[o] shadows the
-	// set to provide deterministic lowest-address allocation.
-	freeLists [MaxOrder + 1]map[addr.PFN]struct{}
-	heaps     [MaxOrder + 1]pfnHeap
+	// free[o] holds every free order-o block, so a buddy lookup during
+	// merge is one bit test and allocation takes the lowest-addressed
+	// block first, deterministically.
+	free [MaxOrder + 1]blockSet
 
-	// owner maps the first frame of every *allocated* block to its order,
-	// so Free can validate and size the release, and compaction can
-	// enumerate used blocks.
-	owner map[addr.PFN]addr.Order
+	// allocated[o] holds the first frame of every allocated order-o
+	// block, so Free can validate and size the release, and compaction
+	// can enumerate used blocks.
+	allocated [MaxOrder + 1]blockSet
 
 	stats Stats
 }
@@ -79,9 +124,10 @@ type Allocator struct {
 // New creates an allocator managing totalPages base frames. The range is
 // seeded with the largest aligned blocks that fit, as after boot.
 func New(totalPages uint64) *Allocator {
-	a := &Allocator{totalPages: totalPages, owner: make(map[addr.PFN]addr.Order)}
-	for o := range a.freeLists {
-		a.freeLists[o] = make(map[addr.PFN]struct{})
+	a := &Allocator{totalPages: totalPages}
+	for o := addr.Order(0); o <= MaxOrder; o++ {
+		a.free[o] = newBlockSet(totalPages, o)
+		a.allocated[o] = newBlockSet(totalPages, o)
 	}
 	var pfn addr.PFN
 	remaining := totalPages
@@ -90,7 +136,7 @@ func New(totalPages uint64) *Allocator {
 		if o > MaxOrder {
 			o = MaxOrder
 		}
-		a.pushFree(o, pfn)
+		a.free[o].add(uint64(pfn) >> uint(o))
 		pfn += addr.PFN(o.Pages())
 		remaining -= o.Pages()
 	}
@@ -116,19 +162,20 @@ func (a *Allocator) Alloc(order addr.Order) (addr.PFN, error) {
 		return 0, fmt.Errorf("buddy: order %d out of range", order)
 	}
 	for o := order; o <= MaxOrder; o++ {
-		pfn, ok := a.popFree(o)
+		i, ok := a.free[o].popLowest()
 		if !ok {
 			continue
 		}
+		pfn := addr.PFN(i << uint(o))
 		// Iteratively split until the block is the requested size; the
 		// upper halves go back on the free lists.
 		for cur := o; cur > order; cur-- {
 			half := cur - 1
 			upper := pfn + addr.PFN(half.Pages())
-			a.pushFree(half, upper)
+			a.free[half].add(uint64(upper) >> uint(half))
 			a.stats.Splits++
 		}
-		a.owner[pfn] = order
+		a.allocated[order].add(uint64(pfn) >> uint(order))
 		a.freePages -= order.Pages()
 		a.stats.Allocs++
 		return pfn, nil
@@ -142,7 +189,7 @@ func (a *Allocator) Alloc(order addr.Order) (addr.PFN, error) {
 // "leverage what contiguity it can" (§I).
 func (a *Allocator) AllocLargest(max addr.Order) (addr.PFN, addr.Order, error) {
 	for o := max; o >= 0; o-- {
-		if len(a.freeLists[o]) > 0 {
+		if a.free[o].count > 0 {
 			pfn, err := a.Alloc(o)
 			return pfn, o, err
 		}
@@ -157,67 +204,57 @@ func (a *Allocator) AllocLargest(max addr.Order) (addr.PFN, addr.Order, error) {
 // buddy repeatedly (§II-B). The pfn must be the exact value returned by
 // Alloc.
 func (a *Allocator) Free(pfn addr.PFN) error {
-	order, ok := a.owner[pfn]
+	order, ok := a.Owned(pfn)
 	if !ok {
 		return fmt.Errorf("buddy: free of unowned block %#x", pfn)
 	}
-	delete(a.owner, pfn)
+	a.allocated[order].remove(uint64(pfn) >> uint(order))
 	a.freePages += order.Pages()
 	a.stats.Frees++
 
 	for order < MaxOrder {
 		buddyPFN := pfn ^ addr.PFN(order.Pages())
-		if _, free := a.freeLists[order][buddyPFN]; !free {
+		bi := uint64(buddyPFN) >> uint(order)
+		if !a.free[order].has(bi) {
 			break
 		}
-		delete(a.freeLists[order], buddyPFN) // heap entry discarded lazily
+		a.free[order].remove(bi)
 		if buddyPFN < pfn {
 			pfn = buddyPFN
 		}
 		order++
 		a.stats.Merges++
 	}
-	a.pushFree(order, pfn)
+	a.free[order].add(uint64(pfn) >> uint(order))
 	return nil
-}
-
-// pushFree adds a free block to the order's set and heap.
-func (a *Allocator) pushFree(o addr.Order, pfn addr.PFN) {
-	a.freeLists[o][pfn] = struct{}{}
-	heap.Push(&a.heaps[o], pfn)
-}
-
-// popFree removes and returns the lowest-addressed free block of the order,
-// discarding heap entries whose blocks were consumed by buddy merges.
-func (a *Allocator) popFree(o addr.Order) (addr.PFN, bool) {
-	h := &a.heaps[o]
-	for h.Len() > 0 {
-		pfn := heap.Pop(h).(addr.PFN)
-		if _, ok := a.freeLists[o][pfn]; ok {
-			delete(a.freeLists[o], pfn)
-			return pfn, true
-		}
-	}
-	return 0, false
 }
 
 // Owned reports whether pfn is the first frame of an allocated block, and
 // the block's order.
 func (a *Allocator) Owned(pfn addr.PFN) (addr.Order, bool) {
-	o, ok := a.owner[pfn]
-	return o, ok
+	if uint64(pfn) >= a.totalPages {
+		return 0, false
+	}
+	// A block of order o starts on an o-aligned frame, so only the orders
+	// up to pfn's alignment can own it.
+	for o := addr.Order(0); o <= MaxOrder && pfn.Aligned(o); o++ {
+		if a.allocated[o].has(uint64(pfn) >> uint(o)) {
+			return o, true
+		}
+	}
+	return 0, false
 }
 
 // FreeBlockCount returns the number of free blocks of the given order,
 // mirroring one column of /proc/buddyinfo.
-func (a *Allocator) FreeBlockCount(order addr.Order) int { return len(a.freeLists[order]) }
+func (a *Allocator) FreeBlockCount(order addr.Order) int { return a.free[order].count }
 
 // Snapshot returns the buddyinfo-style population: count of free blocks per
 // order.
 func (a *Allocator) Snapshot() [MaxOrder + 1]int {
 	var s [MaxOrder + 1]int
-	for o := range a.freeLists {
-		s[o] = len(a.freeLists[o])
+	for o := range a.free {
+		s[o] = a.free[o].count
 	}
 	return s
 }
@@ -237,7 +274,7 @@ func (a *Allocator) Coverage() [MaxOrder + 1]float64 {
 		for b := o; b <= MaxOrder; b++ {
 			// Free-list blocks are naturally aligned, so every free
 			// order-b block (b >= o) is fully tileable by order-o pages.
-			usable += uint64(len(a.freeLists[b])) * b.Pages()
+			usable += uint64(a.free[b].count) * b.Pages()
 		}
 		cov[o] = float64(usable) / float64(a.freePages)
 	}
@@ -248,7 +285,7 @@ func (a *Allocator) Coverage() [MaxOrder + 1]float64 {
 // no memory is free.
 func (a *Allocator) LargestFreeOrder() addr.Order {
 	for o := addr.Order(MaxOrder); o >= 0; o-- {
-		if len(a.freeLists[o]) > 0 {
+		if a.free[o].count > 0 {
 			return o
 		}
 	}
@@ -297,18 +334,18 @@ func (rs RelocationSet) Resolve(pfn addr.PFN) addr.PFN {
 // first-fit in address order. The paper's daemon is incremental, but the
 // evaluation only needs before/after contiguity states.
 func (a *Allocator) Compact() RelocationSet {
-	used := make([]usedBlock, 0, len(a.owner))
-	for pfn, o := range a.owner {
-		used = append(used, usedBlock{pfn, o})
+	n := 0
+	for o := range a.allocated {
+		n += a.allocated[o].count
 	}
 	// Place the largest blocks first (their alignment constraints are the
 	// tightest), breaking ties by current address for determinism.
-	sort.Slice(used, func(i, j int) bool {
-		if used[i].order != used[j].order {
-			return used[i].order > used[j].order
-		}
-		return used[i].pfn < used[j].pfn
-	})
+	used := make([]usedBlock, 0, n)
+	for o := addr.Order(MaxOrder); o >= 0; o-- {
+		a.allocated[o].each(func(i uint64) {
+			used = append(used, usedBlock{addr.PFN(i << uint(o)), o})
+		})
+	}
 
 	// Rebuild the world: everything free, then re-allocate in sorted order.
 	relocation := make(RelocationSet, 0, len(used))
@@ -324,57 +361,73 @@ func (a *Allocator) Compact() RelocationSet {
 		}
 		relocation = append(relocation, Relocation{Old: b.pfn, New: newPFN, Order: b.order})
 	}
-	a.freeLists = fresh.freeLists
-	a.heaps = fresh.heaps
-	a.owner = fresh.owner
+	a.free = fresh.free
+	a.allocated = fresh.allocated
 	a.freePages = fresh.freePages
-	fresh.stats = Stats{}
 	sort.Slice(relocation, func(i, j int) bool { return relocation[i].Old < relocation[j].Old })
 	return relocation
 }
 
 // CheckInvariants verifies internal consistency: free lists hold aligned,
 // in-range, non-overlapping blocks; free page accounting matches; no block
-// is both free and owned. Tests call this after randomized operation
-// sequences.
+// is both free and owned; every per-order count and low-word hint agrees
+// with its bitmap. Tests call this after randomized operation sequences.
 func (a *Allocator) CheckInvariants() error {
-	covered := make(map[addr.PFN]bool)
-	var freeCount uint64
+	covered := make([]uint64, (a.totalPages+63)/64)
+	claim := func(pfn addr.PFN, o addr.Order, what string) error {
+		if uint64(pfn)+o.Pages() > a.totalPages {
+			return fmt.Errorf("%s block %#x order %d out of range", what, pfn, o)
+		}
+		for f := uint64(pfn); f < uint64(pfn)+o.Pages(); f++ {
+			if covered[f/64]&(1<<(f%64)) != 0 {
+				return fmt.Errorf("frame %#x claimed twice (%s block %#x order %d)", f, what, pfn, o)
+			}
+			covered[f/64] |= 1 << (f % 64)
+		}
+		return nil
+	}
+	var freeCount, ownedCount uint64
 	for o := addr.Order(0); o <= MaxOrder; o++ {
-		for pfn := range a.freeLists[o] {
-			if !pfn.Aligned(o) {
-				return fmt.Errorf("free block %#x misaligned for order %d", pfn, o)
+		for _, set := range []struct {
+			s     *blockSet
+			what  string
+			total *uint64
+		}{{&a.free[o], "free", &freeCount}, {&a.allocated[o], "owned", &ownedCount}} {
+			if err := set.s.check(); err != nil {
+				return fmt.Errorf("%s order %d: %v", set.what, o, err)
 			}
-			if uint64(pfn)+o.Pages() > a.totalPages {
-				return fmt.Errorf("free block %#x order %d out of range", pfn, o)
-			}
-			for i := uint64(0); i < o.Pages(); i++ {
-				f := pfn + addr.PFN(i)
-				if covered[f] {
-					return fmt.Errorf("frame %#x on multiple free lists", f)
+			var err error
+			set.s.each(func(i uint64) {
+				if err == nil {
+					err = claim(addr.PFN(i<<uint(o)), o, set.what)
 				}
-				covered[f] = true
+			})
+			if err != nil {
+				return err
 			}
-			freeCount += o.Pages()
+			*set.total += uint64(set.s.count) * o.Pages()
 		}
 	}
 	if freeCount != a.freePages {
 		return fmt.Errorf("freePages=%d but free lists hold %d", a.freePages, freeCount)
 	}
-	var ownedCount uint64
-	for pfn, o := range a.owner {
-		if !pfn.Aligned(o) {
-			return fmt.Errorf("owned block %#x misaligned for order %d", pfn, o)
-		}
-		for i := uint64(0); i < o.Pages(); i++ {
-			if covered[pfn+addr.PFN(i)] {
-				return fmt.Errorf("frame %#x both free and owned", pfn+addr.PFN(i))
-			}
-		}
-		ownedCount += o.Pages()
-	}
 	if freeCount+ownedCount != a.totalPages {
 		return fmt.Errorf("accounting: free %d + owned %d != total %d", freeCount, ownedCount, a.totalPages)
+	}
+	return nil
+}
+
+// check verifies the set's cached count and low-word hint.
+func (s *blockSet) check() error {
+	n := 0
+	for w, x := range s.words {
+		if x != 0 && w < s.low {
+			return fmt.Errorf("word %d set below hint %d", w, s.low)
+		}
+		n += bits.OnesCount64(x)
+	}
+	if n != s.count {
+		return fmt.Errorf("count %d but %d bits set", s.count, n)
 	}
 	return nil
 }

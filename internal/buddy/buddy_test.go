@@ -1,7 +1,11 @@
 package buddy
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"tps/internal/addr"
@@ -394,4 +398,324 @@ func TestRelocationSetResolveInterior(t *testing.T) {
 			t.Errorf("Resolve(%#x)=%#x, want %#x", in, got, want)
 		}
 	}
+}
+
+// refAllocator is the allocator as it was before the bitmap rewrite: Go-map
+// free sets shadowed by lazily pruned min-heaps, and an owner map. The
+// differential tests drive it and Allocator through the same operations
+// and require identical answers.
+type refAllocator struct {
+	totalPages uint64
+	freePages  uint64
+	freeLists  [MaxOrder + 1]map[addr.PFN]struct{}
+	heaps      [MaxOrder + 1]pfnHeap
+	owner      map[addr.PFN]addr.Order
+	stats      Stats
+}
+
+type pfnHeap []addr.PFN
+
+func (h pfnHeap) Len() int            { return len(h) }
+func (h pfnHeap) Less(i, j int) bool  { return h[i] < h[j] }
+func (h pfnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *pfnHeap) Push(x interface{}) { *h = append(*h, x.(addr.PFN)) }
+func (h *pfnHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+func newRef(totalPages uint64) *refAllocator {
+	a := &refAllocator{totalPages: totalPages, owner: make(map[addr.PFN]addr.Order)}
+	for o := range a.freeLists {
+		a.freeLists[o] = make(map[addr.PFN]struct{})
+	}
+	var pfn addr.PFN
+	for remaining := totalPages; remaining > 0; {
+		o := addr.LargestOrderFor(addr.VPN(pfn), remaining)
+		if o > MaxOrder {
+			o = MaxOrder
+		}
+		a.pushFree(o, pfn)
+		pfn += addr.PFN(o.Pages())
+		remaining -= o.Pages()
+	}
+	a.freePages = totalPages
+	return a
+}
+
+func (a *refAllocator) Alloc(order addr.Order) (addr.PFN, error) {
+	if order < 0 || order > MaxOrder {
+		return 0, fmt.Errorf("buddy: order %d out of range", order)
+	}
+	for o := order; o <= MaxOrder; o++ {
+		pfn, ok := a.popFree(o)
+		if !ok {
+			continue
+		}
+		for cur := o; cur > order; cur-- {
+			a.pushFree(cur-1, pfn+addr.PFN((cur-1).Pages()))
+			a.stats.Splits++
+		}
+		a.owner[pfn] = order
+		a.freePages -= order.Pages()
+		a.stats.Allocs++
+		return pfn, nil
+	}
+	a.stats.Failures++
+	return 0, fmt.Errorf("buddy: no free block of order %d", order)
+}
+
+func (a *refAllocator) AllocLargest(max addr.Order) (addr.PFN, addr.Order, error) {
+	for o := max; o >= 0; o-- {
+		if len(a.freeLists[o]) > 0 {
+			pfn, err := a.Alloc(o)
+			return pfn, o, err
+		}
+	}
+	pfn, err := a.Alloc(max)
+	return pfn, max, err
+}
+
+func (a *refAllocator) Free(pfn addr.PFN) error {
+	order, ok := a.owner[pfn]
+	if !ok {
+		return fmt.Errorf("buddy: free of unowned block %#x", pfn)
+	}
+	delete(a.owner, pfn)
+	a.freePages += order.Pages()
+	a.stats.Frees++
+	for order < MaxOrder {
+		buddyPFN := pfn ^ addr.PFN(order.Pages())
+		if _, free := a.freeLists[order][buddyPFN]; !free {
+			break
+		}
+		delete(a.freeLists[order], buddyPFN)
+		if buddyPFN < pfn {
+			pfn = buddyPFN
+		}
+		order++
+		a.stats.Merges++
+	}
+	a.pushFree(order, pfn)
+	return nil
+}
+
+func (a *refAllocator) pushFree(o addr.Order, pfn addr.PFN) {
+	a.freeLists[o][pfn] = struct{}{}
+	heap.Push(&a.heaps[o], pfn)
+}
+
+func (a *refAllocator) popFree(o addr.Order) (addr.PFN, bool) {
+	h := &a.heaps[o]
+	for h.Len() > 0 {
+		pfn := heap.Pop(h).(addr.PFN)
+		if _, ok := a.freeLists[o][pfn]; ok {
+			delete(a.freeLists[o], pfn)
+			return pfn, true
+		}
+	}
+	return 0, false
+}
+
+func (a *refAllocator) Owned(pfn addr.PFN) (addr.Order, bool) {
+	o, ok := a.owner[pfn]
+	return o, ok
+}
+
+func (a *refAllocator) Snapshot() [MaxOrder + 1]int {
+	var s [MaxOrder + 1]int
+	for o := range a.freeLists {
+		s[o] = len(a.freeLists[o])
+	}
+	return s
+}
+
+func (a *refAllocator) Coverage() [MaxOrder + 1]float64 {
+	var cov [MaxOrder + 1]float64
+	if a.freePages == 0 {
+		return cov
+	}
+	for o := addr.Order(0); o <= MaxOrder; o++ {
+		var usable uint64
+		for b := o; b <= MaxOrder; b++ {
+			usable += uint64(len(a.freeLists[b])) * b.Pages()
+		}
+		cov[o] = float64(usable) / float64(a.freePages)
+	}
+	return cov
+}
+
+func (a *refAllocator) LargestFreeOrder() addr.Order {
+	for o := addr.Order(MaxOrder); o >= 0; o-- {
+		if len(a.freeLists[o]) > 0 {
+			return o
+		}
+	}
+	return -1
+}
+
+func (a *refAllocator) Compact() RelocationSet {
+	used := make([]usedBlock, 0, len(a.owner))
+	for pfn, o := range a.owner {
+		used = append(used, usedBlock{pfn, o})
+	}
+	sort.Slice(used, func(i, j int) bool {
+		if used[i].order != used[j].order {
+			return used[i].order > used[j].order
+		}
+		return used[i].pfn < used[j].pfn
+	})
+	relocation := make(RelocationSet, 0, len(used))
+	fresh := newRef(a.totalPages)
+	for _, b := range used {
+		newPFN, err := fresh.Alloc(b.order)
+		if err != nil {
+			panic(fmt.Sprintf("buddy: compaction lost block: %v", err))
+		}
+		if newPFN != b.pfn {
+			a.stats.Migrations += b.order.Pages()
+		}
+		relocation = append(relocation, Relocation{Old: b.pfn, New: newPFN, Order: b.order})
+	}
+	a.freeLists = fresh.freeLists
+	a.heaps = fresh.heaps
+	a.owner = fresh.owner
+	a.freePages = fresh.freePages
+	sort.Slice(relocation, func(i, j int) bool { return relocation[i].Old < relocation[j].Old })
+	return relocation
+}
+
+// diffAllocators fails the test unless a and ref agree on every
+// observable: free pages, Snapshot, Coverage, LargestFreeOrder and Stats,
+// and Owned at every frame; and a's invariants hold.
+func diffAllocators(t *testing.T, step string, a *Allocator, ref *refAllocator) {
+	t.Helper()
+	if err := a.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if a.FreePages() != ref.freePages {
+		t.Fatalf("%s: free pages %d, reference %d", step, a.FreePages(), ref.freePages)
+	}
+	if a.Snapshot() != ref.Snapshot() {
+		t.Fatalf("%s: snapshot %v, reference %v", step, a.Snapshot(), ref.Snapshot())
+	}
+	if a.Coverage() != ref.Coverage() {
+		t.Fatalf("%s: coverage %v, reference %v", step, a.Coverage(), ref.Coverage())
+	}
+	if a.LargestFreeOrder() != ref.LargestFreeOrder() {
+		t.Fatalf("%s: largest free order %d, reference %d", step, a.LargestFreeOrder(), ref.LargestFreeOrder())
+	}
+	if a.Stats() != ref.stats {
+		t.Fatalf("%s: stats %+v, reference %+v", step, a.Stats(), ref.stats)
+	}
+	for pfn := addr.PFN(0); pfn < addr.PFN(a.TotalPages()); pfn++ {
+		o, ok := a.Owned(pfn)
+		ro, rok := ref.Owned(pfn)
+		if ok != rok || o != ro {
+			t.Fatalf("%s: Owned(%#x) = %d,%v, reference %d,%v", step, pfn, o, ok, ro, rok)
+		}
+	}
+}
+
+// TestDifferentialAgainstReference drives the bitmap allocator and the
+// map+heap reference through one seeded random sequence of Alloc,
+// AllocLargest, Free and Compact — with phases of fragmenting churn — and
+// requires identical results at every step.
+func TestDifferentialAgainstReference(t *testing.T) {
+	for _, total := range []uint64{1 << 12, 3000, 1<<12 + 37} {
+		t.Run(fmt.Sprint(total), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(total)))
+			a, ref := New(total), newRef(total)
+			var live []addr.PFN
+			for step := 0; step < 3000; step++ {
+				var desc string
+				switch op := rng.Intn(100); {
+				case op < 40:
+					// Mostly small blocks, as the fragmenting server load.
+					o := addr.Order(0)
+					for o < 10 && rng.Intn(2) == 0 {
+						o++
+					}
+					if rng.Intn(50) == 0 {
+						o = addr.Order(rng.Intn(int(MaxOrder)+3)) - 1 // out-of-range orders too
+					}
+					pfn, err := a.Alloc(o)
+					rpfn, rerr := ref.Alloc(o)
+					desc = fmt.Sprintf("step %d Alloc(%d)", step, o)
+					if pfn != rpfn || fmt.Sprint(err) != fmt.Sprint(rerr) {
+						t.Fatalf("%s = %#x,%v, reference %#x,%v", desc, pfn, err, rpfn, rerr)
+					}
+					if err == nil {
+						live = append(live, pfn)
+					}
+				case op < 55:
+					max := addr.Order(rng.Intn(12))
+					pfn, o, err := a.AllocLargest(max)
+					rpfn, ro, rerr := ref.AllocLargest(max)
+					desc = fmt.Sprintf("step %d AllocLargest(%d)", step, max)
+					if pfn != rpfn || o != ro || fmt.Sprint(err) != fmt.Sprint(rerr) {
+						t.Fatalf("%s = %#x,%d,%v, reference %#x,%d,%v", desc, pfn, o, err, rpfn, ro, rerr)
+					}
+					if err == nil {
+						live = append(live, pfn)
+					}
+				case op < 97:
+					// Free a live block, or now and then a frame that is
+					// not a block start (double free, interior, out of range).
+					var pfn addr.PFN
+					if len(live) > 0 && rng.Intn(10) != 0 {
+						i := rng.Intn(len(live))
+						pfn = live[i]
+						live[i] = live[len(live)-1]
+						live = live[:len(live)-1]
+					} else {
+						pfn = addr.PFN(rng.Int63n(int64(total) + 64))
+					}
+					err, rerr := a.Free(pfn), ref.Free(pfn)
+					desc = fmt.Sprintf("step %d Free(%#x)", step, pfn)
+					if fmt.Sprint(err) != fmt.Sprint(rerr) {
+						t.Fatalf("%s = %v, reference %v", desc, err, rerr)
+					}
+				default:
+					rs, rrs := a.Compact(), ref.Compact()
+					desc = fmt.Sprintf("step %d Compact", step)
+					if !reflect.DeepEqual(rs, rrs) {
+						t.Fatalf("%s relocations differ:\n%v\nreference\n%v", desc, rs, rrs)
+					}
+					for i, pfn := range live {
+						live[i] = rs.Resolve(pfn)
+					}
+				}
+				diffAllocators(t, desc, a, ref)
+			}
+		})
+	}
+}
+
+// TestFreeAndOwnedRejectNonBlocks pins the validation the owner map gave:
+// out-of-range, unaligned and interior frames are not owned and cannot be
+// freed, with the same error as before.
+func TestFreeAndOwnedRejectNonBlocks(t *testing.T) {
+	a, ref := New(100), newRef(100)
+	for _, o := range []addr.Order{3, 0, 2, 5} {
+		pfn, _ := a.Alloc(o)
+		ref.Alloc(o)
+		_ = pfn
+	}
+	for _, pfn := range []addr.PFN{0, 1, 4, 7, 8, 9, 12, 31, 32, 33, 64, 99, 100, 101, 128, 1 << 20, 1 << 40} {
+		o, ok := a.Owned(pfn)
+		ro, rok := ref.Owned(pfn)
+		if o != ro || ok != rok {
+			t.Errorf("Owned(%#x) = %d,%v, reference %d,%v", pfn, o, ok, ro, rok)
+		}
+	}
+	for _, pfn := range []addr.PFN{1, 7, 9, 12, 33, 99, 100, 128, 1 << 20, 1 << 40} {
+		err, rerr := a.Free(pfn), ref.Free(pfn)
+		if err == nil || fmt.Sprint(err) != fmt.Sprint(rerr) {
+			t.Errorf("Free(%#x) = %v, reference %v", pfn, err, rerr)
+		}
+	}
+	diffAllocators(t, "after rejected frees", a, ref)
 }

@@ -18,11 +18,11 @@ func FuzzPTERoundTrip(f *testing.F) {
 	f.Add(uint64(0x1000), 3, FlagWrite|FlagUser, uint64(0x7fff_dead_b000))
 	f.Add(uint64(1)<<20, 9, FlagAccessed|FlagDirty, uint64(0x4000_0000))
 	f.Add(uint64(1)<<22, int(addr.MaxOrder), FlagNX, ^uint64(0))
-	f.Add(uint64(3), 2, uint64(0), uint64(0x2001))            // misaligned frame
-	f.Add(uint64(0), 0, uint64(0), uint64(0))                 // order too small
+	f.Add(uint64(3), 2, uint64(0), uint64(0x2001)) // misaligned frame
+	f.Add(uint64(0), 0, uint64(0), uint64(0))      // order too small
 	f.Add(uint64(0), int(addr.MaxOrder)+1, uint64(0), uint64(0))
-	f.Add(^uint64(0), 4, uint64(0), uint64(0))                // frame beyond PhysBits
-	f.Add(uint64(0), 1, FlagTailored, uint64(0))              // structural flag bit
+	f.Add(^uint64(0), 4, uint64(0), uint64(0))   // frame beyond PhysBits
+	f.Add(uint64(0), 1, FlagTailored, uint64(0)) // structural flag bit
 	f.Add(uint64(0), 1, FlagPresent|FlagPS|FlagAlias, uint64(0))
 	f.Add(uint64(1)<<(addr.PhysBits-addr.BasePageShift), 1, uint64(0), uint64(0))
 

@@ -16,8 +16,8 @@ func (base4K) Name() string        { return "base4k" }
 func (base4K) Label() string       { return "4K" }
 func (base4K) Description() string { return "demand paging with 4 KB pages only" }
 
-func (base4K) Policy() vmm.Policy              { return vmm.PolicyBase4K }
-func (base4K) Organization() mmu.Organization  { return mmu.OrgConventional }
-func (base4K) Orders() []addr.Order            { return []addr.Order{0} }
+func (base4K) Policy() vmm.Policy             { return vmm.PolicyBase4K }
+func (base4K) Organization() mmu.Organization { return mmu.OrgConventional }
+func (base4K) Orders() []addr.Order           { return []addr.Order{0} }
 
 func init() { scheme.Register(base4K{}) }

@@ -1,8 +1,8 @@
 package store
 
 import (
-	"encoding/json"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"

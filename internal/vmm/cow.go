@@ -89,12 +89,8 @@ func (k *Kernel) CloneCOW(base addr.Virt) (addr.Virt, error) {
 	}
 	src.cowFrames = nil
 	for _, r := range src.reservations {
-		for _, pfn := range r.lazyFrames {
-			g.blocks = append(g.blocks, pfn)
-		}
-		if len(r.lazyFrames) > 0 {
-			r.lazyFrames = make(map[addr.VPN]addr.PFN)
-		}
+		r.eachLazy(func(pfn addr.PFN) { g.blocks = append(g.blocks, pfn) })
+		clear(r.lazyFrames)
 	}
 	g.refs++
 
@@ -118,23 +114,27 @@ func (k *Kernel) CloneCOW(base addr.Virt) (addr.Virt, error) {
 	roFlags := (src.flags | pte.FlagUser) &^ pte.FlagWrite
 	for _, r := range src.reservations {
 		nr := newReservation(r.vpn+delta, r.order)
-		nr.lazyFrames = make(map[addr.VPN]addr.PFN) // later faults are private
+		nr.allowLazy() // later faults are private
 		copy(nr.touched, r.touched)
 		nr.touchedCount = r.touchedCount
-		for vpn, o := range r.mapped {
+		err := r.eachMapped(func(vpn addr.VPN, o addr.Order) error {
 			cur, err := k.table.Lookup(vpn.Addr())
 			if err != nil {
-				return 0, err
+				return err
 			}
 			// Share the frame read-only in the clone...
 			if err := k.mapPageRaw(nr, vpn+delta, cur.PFN, o, roFlags); err != nil {
-				return 0, err
+				return err
 			}
 			// ...and downgrade the source to read-only too.
 			if err := k.table.Protect(vpn.Addr(), roFlags); err != nil {
-				return 0, err
+				return err
 			}
 			k.stats.SysCycles += k.cfg.Costs.PTEWrite
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
 		dst.reservations = append(dst.reservations, nr)
 	}

@@ -49,8 +49,7 @@ func TestCloneSharesFramesReadOnly(t *testing.T) {
 func TestCowSplitCopiesOnlyWrittenPage(t *testing.T) {
 	cfg := DefaultConfig(PolicyTPS)
 	cfg.CowPolicy = CowSplit
-	k, src, dst := cloneSetup(t, DefaultConfig(PolicyTPS), 16)
-	_ = cfg
+	k, src, dst := cloneSetup(t, cfg, 16)
 
 	// The fully-touched 16-page region is one 64K tailored page. Write
 	// page 5 via the clone.
@@ -180,6 +179,46 @@ func TestCowNoLeakOnMunmap(t *testing.T) {
 		if err := k.bud.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCowSourceLazyFramesFreed: frames the source faults in after a clone
+// are private to the source (CloneCOW handed the earlier ones to the share
+// group), so munmap must free them even though the source no longer owns
+// its reservation blocks.
+func TestCowSourceLazyFramesFreed(t *testing.T) {
+	for _, tc := range []struct {
+		policy Policy
+		org    mmu.Organization
+	}{
+		{PolicyBase4K, mmu.OrgConventional},
+		{PolicyTHP, mmu.OrgConventional},
+		{PolicyTPS, mmu.OrgTPS},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			k, _ := newSystem(t, DefaultConfig(tc.policy), 1<<16, tc.org)
+			src, err := k.Mmap(64*addr.BasePageSize, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			touchRange(t, k, src, 32)
+			dst, err := k.CloneCOW(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			touchRange(t, k, src+32*addr.BasePageSize, 32)
+			for _, base := range []addr.Virt{src, dst} {
+				if err := k.Munmap(base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := k.bud.FreePages(), k.bud.TotalPages(); got != want {
+				t.Errorf("leak: free %d != %d", got, want)
+			}
+			if err := k.bud.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -75,6 +75,10 @@ type Kernel struct {
 	granules   uint32
 	anyGranule bool
 
+	// promoOrders[o] lists the page orders the promotion cascade tries,
+	// smallest first, in a reservation of order o.
+	promoOrders [addr.MaxOrder + 1][]addr.Order
+
 	stats Stats
 
 	// promosByOrder resolves stats.Promotions by target page order.
@@ -111,6 +115,9 @@ func New(cfg Config, bud *buddy.Allocator) *Kernel {
 		k.granules |= 1 << uint(o)
 	}
 	k.granules |= 1 // base pages are always mappable
+	for o := range k.promoOrders {
+		k.promoOrders[o] = k.promotionOrders(addr.Order(o))
+	}
 	return k
 }
 
@@ -300,7 +307,7 @@ func (k *Kernel) reserve(c addr.Chunk) (*reservation, error) {
 	if k.cfg.Policy == PolicyBase4K {
 		// Plain demand paging reserves no physical memory up front;
 		// frames are allocated one at a time at fault.
-		r.lazyFrames = make(map[addr.VPN]addr.PFN)
+		r.allowLazy()
 		return r, nil
 	}
 
@@ -340,21 +347,18 @@ func (k *Kernel) rollback(v *vma) {
 }
 
 func (k *Kernel) releaseReservation(r *reservation) {
-	if !r.ownsPhys {
-		// A cowGroup owns the physical memory; it frees the blocks when
-		// the last sharer unmaps.
-		r.blocks = nil
-		r.lazyFrames = nil
-		return
-	}
-	for _, b := range r.blocks {
-		// Ignore errors: blocks may already be gone during rollback.
-		_ = k.bud.Free(b.pfn)
+	// Unless a cowGroup owns the blocks (it frees them when the last
+	// sharer unmaps), they go back to the allocator.
+	if r.ownsPhys {
+		for _, b := range r.blocks {
+			// Ignore errors: blocks may already be gone during rollback.
+			_ = k.bud.Free(b.pfn)
+		}
 	}
 	r.blocks = nil
-	for _, pfn := range r.lazyFrames {
-		_ = k.bud.Free(pfn)
-	}
+	// Lazy frames are private even to a CoW source: CloneCOW hands the
+	// ones faulted before it to the share group.
+	r.eachLazy(func(pfn addr.PFN) { _ = k.bud.Free(pfn) })
 	r.lazyFrames = nil
 }
 
@@ -409,7 +413,7 @@ func (k *Kernel) mapPageRaw(r *reservation, vpn addr.VPN, pfn addr.PFN, order ad
 	if err := k.table.Map(vpn.Addr(), pfn, order, rawFlags); err != nil {
 		return err
 	}
-	r.mapped[vpn] = order
+	r.setMapped(vpn, order)
 	return nil
 }
 
@@ -421,7 +425,7 @@ func (k *Kernel) unmapPage(r *reservation, vpn addr.VPN) error {
 	if err != nil {
 		return err
 	}
-	delete(r.mapped, vpn)
+	r.clearMapped(vpn)
 	return nil
 }
 
@@ -500,14 +504,14 @@ func (k *Kernel) Fault(v addr.Virt, write bool) error {
 	}
 	pfn, _, ok := r.frameFor(vpn)
 	if !ok {
-		if r.lazyFrames == nil {
+		if !r.lazy {
 			return fmt.Errorf("vmm: reservation has no frame for %#x", uint64(v))
 		}
 		p, err := k.bud.Alloc(0)
 		if err != nil {
 			return ErrNoMemory
 		}
-		r.lazyFrames[vpn] = p
+		r.lazyFrames[vpn-r.vpn] = p + 1
 		pfn = p
 	}
 	if err := k.mapPage(r, vpn, pfn, 0, vma.flags); err != nil {
@@ -519,24 +523,25 @@ func (k *Kernel) Fault(v addr.Virt, write bool) error {
 // coveredBy reports whether some mapped page in r covers vpn.
 func (k *Kernel) coveredBy(r *reservation, vpn addr.VPN) bool {
 	for o := addr.Order(0); o <= r.order; o++ {
-		if mo, ok := r.mapped[vpn.AlignDown(o)]; ok && mo >= o {
+		if mo, ok := r.mappedAt(vpn.AlignDown(o)); ok && mo >= o {
 			return true
 		}
 	}
 	return false
 }
 
-// promotionOrders returns the page orders the policy promotes through.
-func (k *Kernel) promotionOrders(r *reservation) []addr.Order {
+// promotionOrders returns the page orders the policy promotes through in a
+// reservation of the given order.
+func (k *Kernel) promotionOrders(resOrder addr.Order) []addr.Order {
 	switch k.cfg.Policy {
 	case PolicyTHP:
-		if r.order >= addr.Order2M {
+		if resOrder >= addr.Order2M {
 			return []addr.Order{addr.Order2M}
 		}
 		return nil
 	case PolicyTPS:
 		var out []addr.Order
-		for o := addr.Order(1); o <= r.order && o <= k.cfg.MaxTailoredOrder; o++ {
+		for o := addr.Order(1); o <= resOrder && o <= k.cfg.MaxTailoredOrder; o++ {
 			if !k.orderAllowed(o) {
 				continue // fixed-granule schemes skip intermediate sizes
 			}
@@ -561,7 +566,7 @@ func (k *Kernel) promote(vma *vma, r *reservation, vpn addr.VPN) error {
 	if !vma.promotable() {
 		return nil
 	}
-	for _, o := range k.promotionOrders(r) {
+	for _, o := range k.promoOrders[r.order] {
 		base := vpn.AlignDown(o)
 		if base < r.vpn || base+addr.VPN(o.Pages()) > r.end() {
 			break
@@ -579,7 +584,7 @@ func (k *Kernel) promote(vma *vma, r *reservation, vpn addr.VPN) error {
 		if util < k.cfg.PromotionThreshold {
 			break
 		}
-		if mo, ok := r.mapped[base]; ok && mo >= o {
+		if mo, ok := r.mappedAt(base); ok && mo >= o {
 			break // already at or above this size
 		}
 		if err := k.upgrade(vma, r, base, o); err != nil {
@@ -595,7 +600,7 @@ func (k *Kernel) upgrade(vma *vma, r *reservation, base addr.VPN, o addr.Order) 
 	end := base + addr.VPN(o.Pages())
 	newlyMapped := uint64(0)
 	for pos := base; pos < end; {
-		if mo, ok := r.mapped[pos]; ok {
+		if mo, ok := r.mappedAt(pos); ok {
 			if err := k.unmapPage(r, pos); err != nil {
 				return err
 			}
@@ -612,7 +617,7 @@ func (k *Kernel) upgrade(vma *vma, r *reservation, base addr.VPN, o addr.Order) 
 	if err := k.table.Map(base.Addr(), pfn, o, vma.flags|pte.FlagWrite|pte.FlagUser); err != nil {
 		return err
 	}
-	r.mapped[base] = o
+	r.setMapped(base, o)
 	// Pages mapped for the first time by this upgrade must be zeroed and
 	// count as utilized from now on.
 	if newlyMapped > 0 {
@@ -637,10 +642,12 @@ func (k *Kernel) Munmap(base addr.Virt) error {
 	k.stats.Munmaps++
 	k.stats.SysCycles += k.cfg.Costs.Mmap
 	for _, r := range v.reservations {
-		for vpn := range r.mapped {
-			if _, _, _, err := k.table.Unmap(vpn.Addr()); err != nil {
-				return err
-			}
+		err := r.eachMapped(func(vpn addr.VPN, _ addr.Order) error {
+			_, _, _, err := k.table.Unmap(vpn.Addr())
+			return err
+		})
+		if err != nil {
+			return err
 		}
 		r.mapped = nil
 		if k.ranger != nil {
@@ -683,24 +690,25 @@ func (k *Kernel) Compact() {
 	// referenced from several VMAs.
 	for _, v := range k.vmas {
 		for _, r := range v.reservations {
-			for vpn, mo := range r.mapped {
+			_ = r.eachMapped(func(vpn addr.VPN, mo addr.Order) error {
 				cur, err := k.table.Lookup(vpn.Addr())
 				if err != nil {
-					continue
+					return nil
 				}
-				newPFN := reloc.Resolve(cur.PFN)
-				if newPFN == cur.PFN {
-					continue
+				if newPFN := reloc.Resolve(cur.PFN); newPFN != cur.PFN {
+					_ = k.table.Relocate(vpn.Addr(), newPFN)
+					k.stats.RelocatedPages += mo.Pages()
 				}
-				_ = k.table.Relocate(vpn.Addr(), newPFN)
-				k.stats.RelocatedPages += mo.Pages()
-			}
+				return nil
+			})
 			// Ownership bookkeeping follows the moves.
 			for bi := range r.blocks {
 				r.blocks[bi].pfn = reloc.Resolve(r.blocks[bi].pfn)
 			}
-			for vpn, pfn := range r.lazyFrames {
-				r.lazyFrames[vpn] = reloc.Resolve(pfn)
+			for i, f := range r.lazyFrames {
+				if f != 0 {
+					r.lazyFrames[i] = reloc.Resolve(f-1) + 1
+				}
 			}
 		}
 		for bi := range v.cowFrames {
@@ -749,17 +757,16 @@ func (k *Kernel) ConsolidateReservations() {
 				continue // still not enough contiguity; try next time
 			}
 			// Migrate every mapped page to its slot in the new block.
-			ok := true
-			for vpn, mo := range r.mapped {
+			err = r.eachMapped(func(vpn addr.VPN, mo addr.Order) error {
 				dst := newPFN + addr.PFN(vpn-r.vpn)
 				if err := k.table.Relocate(vpn.Addr(), dst); err != nil {
-					ok = false
-					break
+					return err
 				}
 				k.stats.RelocatedPages += mo.Pages()
 				k.stats.SysCycles += k.cfg.Costs.CopyPage * mo.Pages()
-			}
-			if !ok {
+				return nil
+			})
+			if err != nil {
 				// Roll back is not needed for the pages already moved —
 				// Relocate only fails on alignment, which cannot happen
 				// for base-order destinations; release the new block.
@@ -786,62 +793,60 @@ func (k *Kernel) MergePages() {
 	if k.cfg.Policy == PolicyBase4K || k.cfg.Policy == PolicyRMMEager {
 		return // the baseline OSes do not merge
 	}
-	maxOrder := k.cfg.MaxTailoredOrder
 	for _, v := range k.vmas {
 		for _, r := range v.reservations {
 			for changed := true; changed; {
 				changed = false
-				// Snapshot keys: we mutate r.mapped inside.
-				starts := make([]addr.VPN, 0, len(r.mapped))
-				for vpn := range r.mapped {
-					starts = append(starts, vpn)
-				}
-				sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-				for _, vpn := range starts {
-					o, ok := r.mapped[vpn]
-					if !ok || o >= maxOrder || !k.orderAllowed(o+1) {
-						continue
+				_ = r.eachMapped(func(vpn addr.VPN, o addr.Order) error {
+					if k.mergeBuddies(v, r, vpn, o) {
+						changed = true
 					}
-					if !vpn.Aligned(o + 1) {
-						continue
-					}
-					buddyVPN := vpn + addr.VPN(o.Pages())
-					bo, ok := r.mapped[buddyVPN]
-					if !ok || bo != o {
-						continue
-					}
-					a, errA := k.table.Lookup(vpn.Addr())
-					b, errB := k.table.Lookup(buddyVPN.Addr())
-					if errA != nil || errB != nil {
-						continue
-					}
-					if b.PFN != a.PFN+addr.PFN(o.Pages()) || !a.PFN.Aligned(o+1) {
-						continue
-					}
-					if !pte.PermissionsMatch(pte.Entry(a.Flags), pte.Entry(b.Flags)) {
-						continue
-					}
-					if err := k.unmapPage(r, vpn); err != nil {
-						continue
-					}
-					if err := k.unmapPage(r, buddyVPN); err != nil {
-						continue
-					}
-					if err := k.table.Map(vpn.Addr(), a.PFN, o+1, v.flags|pte.FlagWrite|pte.FlagUser); err != nil {
-						// Should not happen; restore the smaller pages.
-						k.table.Map(vpn.Addr(), a.PFN, o, v.flags|pte.FlagWrite|pte.FlagUser)
-						k.table.Map(buddyVPN.Addr(), b.PFN, o, v.flags|pte.FlagWrite|pte.FlagUser)
-						r.mapped[vpn] = o
-						r.mapped[buddyVPN] = o
-						continue
-					}
-					r.mapped[vpn] = o + 1
-					k.stats.PageMerges++
-					changed = true
-				}
+					return nil
+				})
 			}
 		}
 	}
+}
+
+// mergeBuddies merges the order-o page at vpn with its buddy into one page
+// of the next order when the pair qualifies, reporting whether it did.
+func (k *Kernel) mergeBuddies(v *vma, r *reservation, vpn addr.VPN, o addr.Order) bool {
+	if o >= k.cfg.MaxTailoredOrder || !k.orderAllowed(o+1) || !vpn.Aligned(o+1) {
+		return false
+	}
+	buddyVPN := vpn + addr.VPN(o.Pages())
+	if bo, ok := r.mappedAt(buddyVPN); !ok || bo != o {
+		return false
+	}
+	a, errA := k.table.Lookup(vpn.Addr())
+	b, errB := k.table.Lookup(buddyVPN.Addr())
+	if errA != nil || errB != nil {
+		return false
+	}
+	if b.PFN != a.PFN+addr.PFN(o.Pages()) || !a.PFN.Aligned(o+1) {
+		return false
+	}
+	if !pte.PermissionsMatch(pte.Entry(a.Flags), pte.Entry(b.Flags)) {
+		return false
+	}
+	if err := k.unmapPage(r, vpn); err != nil {
+		return false
+	}
+	if err := k.unmapPage(r, buddyVPN); err != nil {
+		return false
+	}
+	flags := v.flags | pte.FlagWrite | pte.FlagUser
+	if err := k.table.Map(vpn.Addr(), a.PFN, o+1, flags); err != nil {
+		// Should not happen; restore the smaller pages.
+		k.table.Map(vpn.Addr(), a.PFN, o, flags)
+		k.table.Map(buddyVPN.Addr(), b.PFN, o, flags)
+		r.setMapped(vpn, o)
+		r.setMapped(buddyVPN, o)
+		return false
+	}
+	r.setMapped(vpn, o+1)
+	k.stats.PageMerges++
+	return true
 }
 
 // PromotionsByOrder returns the cumulative promotion count per target

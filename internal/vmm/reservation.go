@@ -30,18 +30,22 @@ type reservation struct {
 	touched      []uint64
 	touchedCount uint64
 
-	// mapped tracks currently installed pages within the chunk:
-	// page start vpn -> page order.
-	mapped map[addr.VPN]addr.Order
+	// mapped tracks currently installed pages within the chunk, indexed
+	// by base-page offset: 1+order at the first page of each installed
+	// page, 0 everywhere else.
+	mapped []uint8
 
 	// lazyFrames backs pages allocated frame-by-frame at fault time
-	// (PolicyBase4K has no up-front reservation blocks). Each entry is an
-	// order-0 buddy block owned by this reservation.
-	lazyFrames map[addr.VPN]addr.PFN
+	// (PolicyBase4K has no up-front reservation blocks), indexed by
+	// base-page offset and stored as 1+frame (0 means none). Each entry is
+	// an order-0 buddy block private to this reservation; faults may
+	// allocate them only when lazy is set.
+	lazyFrames []addr.PFN
+	lazy       bool
 
-	// ownsPhys reports whether this reservation frees its blocks and
-	// lazy frames at release. Copy-on-write clones share physical memory
-	// owned by a cowGroup instead (§III-C3).
+	// ownsPhys reports whether this reservation frees its blocks at
+	// release. Copy-on-write hands a cloned source's blocks to a cowGroup
+	// instead (§III-C3); lazy frames are always the reservation's own.
 	ownsPhys bool
 }
 
@@ -51,8 +55,60 @@ func newReservation(vpn addr.VPN, order addr.Order) *reservation {
 		vpn:      vpn,
 		order:    order,
 		touched:  make([]uint64, words),
-		mapped:   make(map[addr.VPN]addr.Order),
+		mapped:   make([]uint8, order.Pages()),
 		ownsPhys: true,
+	}
+}
+
+// allowLazy lets faults allocate private frames one at a time.
+func (r *reservation) allowLazy() {
+	r.lazy = true
+	r.lazyFrames = make([]addr.PFN, r.order.Pages())
+}
+
+// mappedAt reports the order of the page installed at vpn, if a page
+// starts there. vpn may lie outside the reservation, where nothing is
+// mapped.
+func (r *reservation) mappedAt(vpn addr.VPN) (addr.Order, bool) {
+	off := uint64(vpn - r.vpn)
+	if off >= uint64(len(r.mapped)) || r.mapped[off] == 0 {
+		return 0, false
+	}
+	return addr.Order(r.mapped[off] - 1), true
+}
+
+func (r *reservation) setMapped(vpn addr.VPN, o addr.Order) { r.mapped[vpn-r.vpn] = uint8(o) + 1 }
+
+func (r *reservation) clearMapped(vpn addr.VPN) { r.mapped[vpn-r.vpn] = 0 }
+
+// eachMapped calls fn for every installed page in address order and stops
+// at the first error fn returns. fn may grow or remove the page it is
+// given and any page after it within the grown range; the walk resumes
+// past whatever is mapped at vpn on return.
+func (r *reservation) eachMapped(fn func(vpn addr.VPN, o addr.Order) error) error {
+	for off := uint64(0); off < uint64(len(r.mapped)); {
+		if r.mapped[off] == 0 {
+			off++
+			continue
+		}
+		if err := fn(r.vpn+addr.VPN(off), addr.Order(r.mapped[off]-1)); err != nil {
+			return err
+		}
+		if m := r.mapped[off]; m != 0 {
+			off += addr.Order(m - 1).Pages()
+		} else {
+			off++
+		}
+	}
+	return nil
+}
+
+// eachLazy calls fn for every lazily allocated frame in address order.
+func (r *reservation) eachLazy(fn func(pfn addr.PFN)) {
+	for _, f := range r.lazyFrames {
+		if f != 0 {
+			fn(f - 1)
+		}
 	}
 }
 
@@ -108,8 +164,10 @@ func (r *reservation) touchedIn(start addr.VPN, pages uint64) uint64 {
 // backing block (the maximum page size this vpn can ever grow to inside
 // this reservation).
 func (r *reservation) frameFor(vpn addr.VPN) (addr.PFN, addr.Order, bool) {
-	if pfn, ok := r.lazyFrames[vpn]; ok {
-		return pfn, 0, true
+	if r.lazy {
+		if f := r.lazyFrames[vpn-r.vpn]; f != 0 {
+			return f - 1, 0, true
+		}
 	}
 	// blocks are sorted by vpn; binary search for the covering block.
 	i := sort.Search(len(r.blocks), func(i int) bool {
