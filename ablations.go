@@ -24,19 +24,13 @@ func (r *Runner) ablationSuite() []Workload {
 	return out
 }
 
-// ablationRun executes one TPS run with mutated options, through the same
-// deduplicating engine the figures use: the full option fingerprint is the
-// cache key, so identical cells across ablations (and figures) share one
-// run.
-func (r *Runner) ablationRun(w Workload, mutate func(*Options)) (Result, error) {
-	opts := Options{
-		Setup:       SetupTPS,
-		Refs:        r.cfg.Refs,
-		Seed:        r.cfg.Seed,
-		MemoryPages: r.cfg.MemoryPages,
-	}
-	mutate(&opts)
-	return r.runOpts(w, opts, false)
+// ablationRun executes one TPS cell with a mutated key, through the same
+// deduplicating engine the figures use, so identical cells across
+// ablations (and figures) share one run.
+func (r *Runner) ablationRun(w Workload, mutate func(*runKey)) (Result, error) {
+	k := runKey{setup: SetupTPS}
+	mutate(&k)
+	return r.runCell(w, k)
 }
 
 // AblationAliasStrategy compares the extra-lookup alias design against the
@@ -51,8 +45,8 @@ func (r *Runner) AblationAliasStrategy() (*Table, error) {
 		return nil, err
 	}
 	suite := r.ablationSuite()
-	extra := func(o *Options) { o.AliasStrategy = pagetable.ExtraLookup }
-	copyAll := func(o *Options) { o.AliasStrategy = pagetable.FullCopy }
+	extra := func(k *runKey) { k.alias = pagetable.ExtraLookup }
+	copyAll := func(k *runKey) { k.alias = pagetable.FullCopy }
 	r.warmAblation(suite, extra, copyAll)
 	for _, w := range suite {
 		ex, err := r.ablationRun(w, extra)
@@ -86,13 +80,13 @@ func (r *Runner) AblationPromotionThreshold() (*Table, error) {
 	}
 	densities := []float64{0.9, 0.6}
 	thresholds := []float64{0.5, 0.75, 1.0}
-	base4K := func(o *Options) { o.Setup = SetupBase4K }
-	atThreshold := func(th float64) func(*Options) {
-		return func(o *Options) { o.PromotionThreshold = th }
+	base4K := func(k *runKey) { k.setup = SetupBase4K }
+	atThreshold := func(th float64) func(*runKey) {
+		return func(k *runKey) { k.threshold = th }
 	}
 	for _, density := range densities {
 		w := SparseWorkload(1<<30, density)
-		mutators := []func(*Options){base4K}
+		mutators := []func(*runKey){base4K}
 		for _, th := range thresholds {
 			mutators = append(mutators, atThreshold(th))
 		}
@@ -133,8 +127,8 @@ func (r *Runner) AblationReservationSizing() (*Table, error) {
 	}
 	suite := r.ablationSuite()
 	sizings := []vmm.Sizing{vmm.SizingConservative, vmm.SizingAggressive}
-	withSizing := func(sz vmm.Sizing) func(*Options) {
-		return func(o *Options) { o.Sizing = sz }
+	withSizing := func(sz vmm.Sizing) func(*runKey) {
+		return func(k *runKey) { k.sizing = sz }
 	}
 	r.warmAblation(suite, withSizing(sizings[0]), withSizing(sizings[1]))
 	for _, w := range suite {
@@ -166,10 +160,10 @@ func (r *Runner) AblationTPSTLBSize() (*Table, error) {
 	}
 	suite := r.ablationSuite()
 	sizes := []int{8, 16, 32, 64}
-	withEntries := func(n int) func(*Options) {
-		return func(o *Options) { o.TPSTLBEntries = n }
+	withEntries := func(n int) func(*runKey) {
+		return func(k *runKey) { k.tlbEntries = n }
 	}
-	var mutators []func(*Options)
+	var mutators []func(*runKey)
 	for _, n := range sizes {
 		mutators = append(mutators, withEntries(n))
 	}
@@ -200,8 +194,8 @@ func (r *Runner) AblationSkewedTLB() (*Table, error) {
 		return nil, err
 	}
 	suite := r.ablationSuite()
-	plain := func(o *Options) {}
-	skewed := func(o *Options) { o.TPSTLBSkewed = true }
+	plain := func(k *runKey) {}
+	skewed := func(k *runKey) { k.skewed = true }
 	r.warmAblation(suite, plain, skewed)
 	for _, w := range suite {
 		fa, err := r.ablationRun(w, plain)
@@ -232,11 +226,7 @@ func (r *Runner) AblationFiveLevel() (*Table, error) {
 	}
 	suite := r.ablationSuite()
 	run5 := func(w Workload, setup Setup) (Result, error) {
-		opts := Options{
-			Setup: setup, Refs: r.cfg.Refs, Seed: r.cfg.Seed,
-			MemoryPages: r.cfg.MemoryPages, Levels: addr.Levels5,
-		}
-		return r.runOpts(w, opts, false)
+		return r.runCell(w, runKey{setup: setup, levels: addr.Levels5})
 	}
 	var warm []func()
 	for _, w := range suite {

@@ -2,11 +2,20 @@
 // prints the full statistics block: TLB hits and misses per level,
 // page-walk memory references, OS work, page-size census, and footprint.
 //
+// The benchmark is either a generator (-workload) or a trace file
+// (-trace) in the portable text format of internal/trace/file.go, which
+// is region-relative, so externally captured traces (e.g. converted PIN
+// output, the paper's own tracing method) replay under any registered
+// scheme. -dump writes the selected workload's trace to stdout instead
+// of simulating it.
+//
 // Usage:
 //
 //	tpssim -workload gups -setup tps
 //	tpssim -workload gcc -setup thp -refs 2000000
 //	tpssim -workload xsbench -setup tps -fragmented -threshold 0.5
+//	tpssim -dump -workload gups -refs 500000 > gups.trace
+//	tpssim -trace gups.trace -setup rmm
 package main
 
 import (
@@ -20,6 +29,8 @@ import (
 	"tps/internal/addr"
 	"tps/internal/fragstate"
 	"tps/internal/telemetry/series"
+	"tps/internal/trace"
+	"tps/internal/workload"
 )
 
 func main() {
@@ -37,6 +48,8 @@ func main() {
 		seriesOut = flag.String("series", "", "write an epoch-sampled counter time-series (JSONL) to this file")
 		seriesN   = flag.Uint64("series-every", 0, "with -series: sample every N references (0 = the 1M default)")
 		list      = flag.Bool("list", false, "list workloads and exit")
+		traceFile = flag.String("trace", "", "replay this trace file as the workload (replaces -workload; -refs and -seed do not apply)")
+		dump      = flag.Bool("dump", false, "write the workload's trace to stdout instead of simulating it")
 	)
 	flag.Parse()
 
@@ -53,9 +66,19 @@ func main() {
 	}
 
 	w, ok := tps.WorkloadByName(*name)
+	if *traceFile != "" {
+		w, ok = workload.FromTrace(*traceFile), true
+	}
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *name)
 		os.Exit(1)
+	}
+	if *dump {
+		if err := dumpTrace(w, *refs, *seed); err != nil {
+			fmt.Fprintf(os.Stderr, "dump failed: %v\n", err)
+			os.Exit(1)
+		}
+		return
 	}
 	setup, ok := parseSetup(*setupName)
 	if !ok {
@@ -108,6 +131,16 @@ func main() {
 		}
 	}
 	report(res)
+}
+
+// dumpTrace writes w's reference stream to stdout as a trace file.
+func dumpTrace(w tps.Workload, refs uint64, seed int64) error {
+	fw := trace.NewFileWriter(os.Stdout)
+	fmt.Printf("# tps trace: workload=%s refs=%d seed=%d\n", w.Name, refs, seed)
+	if err := w.Run(fw, refs, seed); err != nil {
+		return err
+	}
+	return fw.Flush()
 }
 
 // parseSetup resolves a scheme by its registry name, keeping the historic

@@ -13,8 +13,11 @@ import (
 	"time"
 
 	"tps/internal/fabric"
+	"tps/internal/fragstate"
+	"tps/internal/pagetable"
 	"tps/internal/store"
 	"tps/internal/telemetry"
+	"tps/internal/vmm"
 )
 
 // engine is the concurrency-safe heart of the Runner: a
@@ -244,6 +247,55 @@ func (e *engine) attempt(ctx context.Context, key runKey, fn runFunc, onRefs fun
 	return fn(ctx, onRefs)
 }
 
+// runKey identifies one simulation cell. It holds every Options field the
+// figures, ablations, extensions, and fleet vary, so the cache can share
+// cells across all of them (e.g. the plain TPS run appears in Figs.
+// 10/11/18 and several ablations, and executes once). It is also the only
+// source of a cell's Options (see options), so a knob that changes results
+// reaches the simulator only by being a key field.
+type runKey struct {
+	name                 string
+	setup                Setup
+	smt, virt, frag, cyc bool
+
+	// Ablation/extension knobs (zero for the standard figure cells).
+	threshold    float64
+	sizing       vmm.Sizing
+	alias        pagetable.AliasStrategy
+	compactFail  bool
+	levels       int
+	tlbEntries   int
+	skewed       bool
+	compactEvery uint64
+}
+
+// options converts the cell to the simulator's Options under the run-wide
+// budget. frag selects the standard fragmented initial state
+// (Options.PreFragment is a function and cannot itself be keyed).
+func (k runKey) options(refs uint64, seed int64, mem uint64) Options {
+	opts := Options{
+		Setup:              k.setup,
+		Refs:               refs,
+		Seed:               seed,
+		MemoryPages:        mem,
+		SMT:                k.smt,
+		Virtualized:        k.virt,
+		CycleModel:         k.cyc,
+		PromotionThreshold: k.threshold,
+		Sizing:             k.sizing,
+		AliasStrategy:      k.alias,
+		CompactOnFailure:   k.compactFail,
+		Levels:             k.levels,
+		TPSTLBEntries:      k.tlbEntries,
+		TPSTLBSkewed:       k.skewed,
+		CompactEvery:       k.compactEvery,
+	}
+	if k.frag {
+		opts.PreFragment = fragstate.PreFragment(fragstate.DefaultParams())
+	}
+	return opts
+}
+
 // cellFingerprint renders a cell's complete identity — every runKey field
 // plus the run-wide knobs (refs, seed, memory) and the simulator
 // version salt — as the stable string the store key hashes. Two cells
@@ -404,7 +456,7 @@ func (r *Runner) warmSuite(suite []Workload, setups []Setup, flags ...runFlags) 
 }
 
 // warmAblation prefetches the suite×mutator grid of an upcoming ablation.
-func (r *Runner) warmAblation(suite []Workload, mutators ...func(*Options)) {
+func (r *Runner) warmAblation(suite []Workload, mutators ...func(*runKey)) {
 	var runs []func()
 	for _, w := range suite {
 		for _, m := range mutators {

@@ -583,3 +583,49 @@ func TestCellFingerprintPinned(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeResult holds the store's Result decoder to its contract: it
+// never panics on arbitrary bytes, and any payload it accepts re-encodes
+// and decodes to an equal Result, so a replayed cell renders the same as
+// the entry it came from.
+func FuzzDecodeResult(f *testing.F) {
+	w, ok := WorkloadByName("leela")
+	if !ok {
+		f.Fatal("leela missing")
+	}
+	for _, opts := range []Options{
+		{Setup: SetupTPS, Refs: 2000, Seed: 1},
+		{Setup: SetupRMM, Refs: 2000, Seed: 1, CycleModel: true},
+	} {
+		res, err := Run(w, opts)
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := encodeResult(res)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add([]byte(`{"Workload":"gcc","Unknown":1}`))
+	f.Add([]byte(`{"Census":{"300":1}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := decodeResult(data)
+		if err != nil {
+			return
+		}
+		re, err := encodeResult(res)
+		if err != nil {
+			t.Fatalf("accepted payload %q does not re-encode: %v", data, err)
+		}
+		again, err := decodeResult(re)
+		if err != nil {
+			t.Fatalf("re-encoded payload %q does not decode: %v", re, err)
+		}
+		if !reflect.DeepEqual(again, res) {
+			t.Fatalf("round trip changed the Result:\nfirst:  %+v\nsecond: %+v", res, again)
+		}
+	})
+}

@@ -68,14 +68,8 @@ func (r *Runner) ExtCompactionDaemon() (*Table, error) {
 // runCompactDaemon runs TPS on the fragmented state with the incremental
 // daemon firing four times across the measured window.
 func (r *Runner) runCompactDaemon(w Workload) (Result, error) {
-	opts := Options{
-		Setup:        SetupTPS,
-		Refs:         r.cfg.Refs,
-		Seed:         r.cfg.Seed,
-		MemoryPages:  r.cfg.MemoryPages,
-		CompactEvery: r.cfg.Refs / 2, // fires during init and the main phase
-	}
-	return r.runOpts(w, opts, true)
+	// The daemon runs every Refs/2 references, in init and the main phase.
+	return r.runCell(w, runKey{setup: SetupTPS, frag: true, compactEvery: r.cfg.Refs / 2})
 }
 
 // bigPages counts mapped pages of 2 MB and above.

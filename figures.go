@@ -13,11 +13,9 @@ import (
 	"tps/internal/buddy"
 	"tps/internal/fragstate"
 	"tps/internal/mmu"
-	"tps/internal/pagetable"
 	"tps/internal/store"
 	"tps/internal/telemetry"
 	"tps/internal/telemetry/series"
-	"tps/internal/vmm"
 )
 
 // FigureConfig scales the evaluation: Refs is the measured (post-warmup)
@@ -124,26 +122,6 @@ type Runner struct {
 	eng *engine
 }
 
-// runKey identifies one simulation cell. It fingerprints every Options
-// field the figures, ablations, and extensions vary, so the cache can
-// share cells across all of them (e.g. the plain TPS run appears in
-// Figs. 10/11/18 and several ablations, and executes once).
-type runKey struct {
-	name                 string
-	setup                Setup
-	smt, virt, frag, cyc bool
-
-	// Ablation/extension knobs (zero for the standard figure cells).
-	threshold    float64
-	sizing       vmm.Sizing
-	alias        pagetable.AliasStrategy
-	compactFail  bool
-	levels       int
-	tlbEntries   int
-	skewed       bool
-	compactEvery uint64
-}
-
 // NewRunner creates a Runner for the configuration.
 func NewRunner(cfg FigureConfig) *Runner {
 	cfg = cfg.withDefaults()
@@ -174,34 +152,15 @@ func (r *Runner) stream(t *Table) {
 type runFlags struct{ smt, virt, frag, cyc bool }
 
 func (r *Runner) run(w Workload, setup Setup, f runFlags) (Result, error) {
-	opts := Options{
-		Setup:       setup,
-		Refs:        r.cfg.Refs,
-		Seed:        r.cfg.Seed,
-		MemoryPages: r.cfg.MemoryPages,
-		SMT:         f.smt,
-		Virtualized: f.virt,
-		CycleModel:  f.cyc,
-	}
-	return r.runOpts(w, opts, f.frag)
+	return r.runCell(w, runKey{setup: setup, smt: f.smt, virt: f.virt, frag: f.frag, cyc: f.cyc})
 }
 
-// runOpts keys the options, dedupes against in-flight and completed runs,
-// and executes under the worker pool. frag selects the standard fragmented
-// initial state (Options.PreFragment is a function and cannot be keyed).
-func (r *Runner) runOpts(w Workload, opts Options, frag bool) (Result, error) {
-	key := runKey{
-		name: w.Name, setup: opts.Setup,
-		smt: opts.SMT, virt: opts.Virtualized, frag: frag, cyc: opts.CycleModel,
-		threshold: opts.PromotionThreshold, sizing: opts.Sizing,
-		alias: opts.AliasStrategy, compactFail: opts.CompactOnFailure,
-		levels: opts.Levels, tlbEntries: opts.TPSTLBEntries,
-		skewed: opts.TPSTLBSkewed, compactEvery: opts.CompactEvery,
-	}
-	if frag {
-		opts.PreFragment = fragstate.PreFragment(fragstate.DefaultParams())
-	}
-	return r.eng.do(r.cfg.Context, key, func(ctx context.Context, onRefs func(uint64)) (Result, error) {
+// runCell names k after w, dedupes it against in-flight and completed
+// cells, and executes it under the worker pool.
+func (r *Runner) runCell(w Workload, k runKey) (Result, error) {
+	k.name = w.Name
+	return r.eng.do(r.cfg.Context, k, func(ctx context.Context, onRefs func(uint64)) (Result, error) {
+		opts := k.options(r.cfg.Refs, r.cfg.Seed, r.cfg.MemoryPages)
 		opts.Context = ctx
 		opts.OnRefs = onRefs
 		if sink := r.cfg.Series; sink != nil {
@@ -209,15 +168,15 @@ func (r *Runner) runOpts(w Workload, opts Options, frag bool) (Result, error) {
 			if opts.SeriesEvery == 0 {
 				opts.SeriesEvery = series.DefaultEvery
 			}
-			meta := series.Meta{Workload: w.Name, Scheme: opts.Setup.SchemeName(),
-				Seed: opts.Seed}
+			meta := series.Meta{Workload: w.Name, Scheme: k.setup.SchemeName(),
+				Seed: r.cfg.Seed}
 			opts.OnSeries = func(pts []series.Point, every uint64) {
 				sink.WriteCell(meta, every, pts)
 			}
 		}
 		res, err := Run(w, opts)
 		if err != nil {
-			return Result{}, fmt.Errorf("run %s/%v: %w", w.Name, opts.Setup, err)
+			return Result{}, fmt.Errorf("run %s/%v: %w", w.Name, k.setup, err)
 		}
 		return res, nil
 	})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tps/internal/fabric"
-	"tps/internal/fragstate"
 	"tps/internal/store"
 )
 
@@ -80,29 +79,19 @@ func SpecKey(spec fabric.CellSpec) (string, error) {
 
 // RunSpec computes one fleet cell: the worker-side execution path. onRefs
 // (nil ok) is the per-batch telemetry hook. The result is bit-identical
-// to what the engine computes for the same cell locally — both funnel
-// into sim.Run with identical options.
+// to what the engine computes for the same cell locally — both derive
+// their Options from the same runKey and funnel into sim.Run.
 func RunSpec(ctx context.Context, spec fabric.CellSpec, onRefs func(uint64)) (Result, error) {
-	spec, w, _, err := specKeyParts(spec)
+	spec, w, k, err := specKeyParts(spec)
 	if err != nil {
 		return Result{}, err
 	}
-	setup, _ := SetupByName(spec.Scheme)
-	opts := Options{
-		Setup:              setup,
-		Refs:               spec.Refs,
-		Seed:               spec.Seed,
-		MemoryPages:        spec.MemoryPages,
-		PromotionThreshold: spec.Threshold,
-		Context:            ctx,
-		OnRefs:             onRefs,
-	}
-	if spec.Frag {
-		opts.PreFragment = fragstate.PreFragment(fragstate.DefaultParams())
-	}
+	opts := k.options(spec.Refs, spec.Seed, spec.MemoryPages)
+	opts.Context = ctx
+	opts.OnRefs = onRefs
 	res, err := Run(w, opts)
 	if err != nil {
-		return Result{}, fmt.Errorf("run %s/%v: %w", w.Name, setup, err)
+		return Result{}, fmt.Errorf("run %s/%v: %w", w.Name, k.setup, err)
 	}
 	return res, nil
 }

@@ -108,10 +108,6 @@ func SetupByName(name string) (Setup, bool) {
 	return 0, false
 }
 
-// SetupNames returns the registered scheme names, sorted — the vocabulary
-// SetupByName accepts, for CLI listings and error messages.
-func SetupNames() []string { return scheme.Names() }
-
 // Setups returns every registered setup in enum order.
 func Setups() []Setup {
 	out := make([]Setup, 0, len(setupNames))
@@ -125,11 +121,9 @@ func Setups() []Setup {
 
 // Options parameterizes one run.
 type Options struct {
+	// Setup selects the translation scheme; SetupByName resolves a
+	// registry name to it.
 	Setup Setup
-	// Scheme, when non-empty, selects the translation scheme by its stable
-	// registry name ("tps", "svnapot", ...) and overrides Setup. Run
-	// rejects names that are not registered.
-	Scheme string
 	// Refs is the approximate reference count to simulate.
 	Refs uint64
 	// Seed drives the workload generator.
@@ -581,18 +575,10 @@ func walkRefAddr(v addr.Virt, level int) addr.Phys {
 }
 
 // Run executes one workload under the options and collects the result.
-// The translation scheme may be selected either by Options.Setup or by
-// registry name via Options.Scheme (which wins when set); an unregistered
-// setup or unknown name is a validation error, not a silent baseline run.
+// An unregistered Options.Setup is a validation error, not a silent
+// baseline run. This is the one path from a configuration to a simulated
+// machine: generators and trace files (workload.FromTrace) both enter here.
 func Run(w workload.Workload, opts Options) (Result, error) {
-	if opts.Scheme != "" {
-		s, ok := SetupByName(opts.Scheme)
-		if !ok {
-			return Result{}, fmt.Errorf("sim: unknown scheme %q (have %s)",
-				opts.Scheme, strings.Join(scheme.Names(), ", "))
-		}
-		opts.Setup = s
-	}
 	if _, err := opts.Setup.scheme(); err != nil {
 		return Result{}, err
 	}

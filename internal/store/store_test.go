@@ -300,3 +300,28 @@ func TestFaultyReadPathsDegradeToRecompute(t *testing.T) {
 func jsonValid(data []byte, v any) bool {
 	return json.Unmarshal(data, v) == nil
 }
+
+// FuzzDecodeEntry holds the on-disk envelope codec to its contract: the
+// decoder never panics on arbitrary bytes, every payload survives an
+// encode/decode round trip, and any entry the decoder accepts is exactly
+// the encoding of the payload it returns (no two envelopes decode alike).
+func FuzzDecodeEntry(f *testing.F) {
+	f.Add(encodeEntry([]byte(`{"answer":42}`)))
+	f.Add(encodeEntry(nil))
+	f.Add([]byte(entryMagic))
+	torn := encodeEntry([]byte(`{"Workload":"gcc","Refs":20000}`))
+	f.Add(torn[:len(torn)-3])
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if got, err := decodeEntry(encodeEntry(raw)); err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("round trip of %q: got %q, err %v", raw, got, err)
+		}
+		payload, err := decodeEntry(raw)
+		if err != nil {
+			return
+		}
+		if re := encodeEntry(payload); !bytes.Equal(re, raw) {
+			t.Fatalf("accepted entry %q re-encodes to %q", raw, re)
+		}
+	})
+}

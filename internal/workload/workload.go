@@ -13,6 +13,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"tps/internal/addr"
 	"tps/internal/trace"
@@ -68,6 +70,26 @@ func ByName(name string) (Workload, bool) {
 		}
 	}
 	return Workload{}, false
+}
+
+// FromTrace makes a trace file (internal/trace's text format, as written
+// by trace.FileWriter or converted from an external tracer) a workload:
+// Run opens the file and replays it whole into the sink, so a recorded
+// stream goes through the same machine, schemes, warmup boundary, and
+// cycle model as a generator. The name is the file's base name. Refs and
+// seed do not apply; under SMT both siblings replay the same file.
+func FromTrace(path string) Workload {
+	return Workload{
+		Name: filepath.Base(path),
+		Run: func(s trace.Sink, _ uint64, _ int64) error {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			return trace.Replay(f, s)
+		},
+	}
 }
 
 // rng builds the workload-local deterministic random source. The name is

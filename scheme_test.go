@@ -26,12 +26,12 @@ func TestSetupStringUnknownIsExplicit(t *testing.T) {
 
 func TestRunRejectsUnknownScheme(t *testing.T) {
 	w := smallSuite(t)[0]
-	if _, err := Run(w, Options{Setup: Setup(99), Refs: 1000}); err == nil {
-		t.Error("Run accepted an unregistered Setup ordinal")
+	if _, ok := SetupByName("bogus"); ok {
+		t.Error("SetupByName accepted an unknown scheme name")
 	}
-	_, err := Run(w, Options{Scheme: "bogus", Refs: 1000})
+	_, err := Run(w, Options{Setup: Setup(99), Refs: 1000})
 	if err == nil {
-		t.Fatal("Run accepted an unknown scheme name")
+		t.Fatal("Run accepted an unregistered Setup ordinal")
 	}
 	// The error must teach the vocabulary, not just reject.
 	for _, name := range SchemeNames() {

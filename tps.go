@@ -20,6 +20,7 @@
 package tps
 
 import (
+	"tps/internal/scheme"
 	"tps/internal/sim"
 	"tps/internal/workload"
 )
@@ -51,10 +52,7 @@ func SetupByName(name string) (Setup, bool) { return sim.SetupByName(name) }
 
 // SchemeNames returns the registered translation-scheme names, sorted —
 // the vocabulary SetupByName accepts.
-func SchemeNames() []string { return sim.SetupNames() }
-
-// Setups returns every registered setup in enum order.
-func Setups() []Setup { return sim.Setups() }
+func SchemeNames() []string { return scheme.Names() }
 
 // Options parameterizes a single simulation run.
 type Options = sim.Options
