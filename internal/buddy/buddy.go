@@ -118,6 +118,9 @@ type Allocator struct {
 	// can enumerate used blocks.
 	allocated [MaxOrder + 1]blockSet
 
+	// onCompact receive every compaction's block moves (see OnCompact).
+	onCompact []func(RelocationSet)
+
 	stats Stats
 }
 
@@ -365,8 +368,17 @@ func (a *Allocator) Compact() RelocationSet {
 	a.allocated = fresh.allocated
 	a.freePages = fresh.freePages
 	sort.Slice(relocation, func(i, j int) bool { return relocation[i].Old < relocation[j].Old })
+	for _, f := range a.onCompact {
+		f(relocation)
+	}
 	return relocation
 }
+
+// OnCompact registers f to receive the relocations of every later
+// compaction, in registration order, before Compact returns. Each OS
+// instance allocating from the allocator registers, so a compaction that
+// any one of them starts rewrites the mappings of all of them.
+func (a *Allocator) OnCompact(f func(RelocationSet)) { a.onCompact = append(a.onCompact, f) }
 
 // CheckInvariants verifies internal consistency: free lists hold aligned,
 // in-range, non-overlapping blocks; free page accounting matches; no block

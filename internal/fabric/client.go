@@ -100,9 +100,7 @@ func (cl *Client) post(ctx context.Context, path string, reqBody, respBody any) 
 			last = fmt.Errorf("fabric: %s: %s", path, resp.Status)
 			continue
 		}
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(respBody); err != nil {
+		if err := decodeBody(bytes.NewReader(body), respBody); err != nil {
 			last = fmt.Errorf("fabric: %s: undecodable response (%w)", path, err)
 			continue // truncated/garbled body: retry
 		}

@@ -728,9 +728,7 @@ func (c *Coordinator) Handler() http.Handler {
 }
 
 func decodeReq(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	if err := decodeBody(r.Body, dst); err != nil {
 		http.Error(w, fmt.Sprintf("fabric: bad request: %v", err), http.StatusBadRequest)
 		return false
 	}

@@ -43,6 +43,7 @@ package fabric
 
 import (
 	"encoding/json"
+	"io"
 
 	"tps/internal/telemetry/span"
 )
@@ -148,6 +149,15 @@ type CompleteRequest struct {
 type CompleteResponse struct {
 	Accepted  bool `json:"accepted"`
 	Duplicate bool `json:"duplicate"`
+}
+
+// decodeBody parses one lease-protocol body, request or response, into
+// dst: the first JSON value of r, with unknown fields rejected. The
+// coordinator and the client both decode through it.
+func decodeBody(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(dst)
 }
 
 // RefsPerSecBuckets is the width of the per-worker throughput histogram:

@@ -365,21 +365,21 @@ func (m *MMU) Translate(v addr.Virt, write bool) (Result, error) {
 // translateMissed is the Translate flow past the translation cache (tvpn
 // already computed, serve already missed or disabled).
 func (m *MMU) translateMissed(v addr.Virt, tvpn addr.VPN, write bool) (Result, error) {
-	vpn := untagVPN(tvpn)
-	var r Result
 	m.stats.Accesses++
 
 	// L1: the split structures are probed in parallel in hardware.
 	if e, prov, way, hit := m.lookupL1(tvpn); hit {
+		var r Result
 		m.stats.L1Hits++
 		r.L1Hit = true
-		err := m.fillAfterFinish(v, tvpn, e, &r, write, prov, way)
+		err := m.finishHit(v, tvpn, e, &r, write, prov, way)
 		return r, err
 	}
 	m.stats.L1Misses++
 
 	// L2: STLB (both parts), plus the sidecar (Range TLB) in parallel.
 	if e, hit := m.lookupSTLB(tvpn); hit {
+		var r Result
 		m.stats.STLBHits++
 		// The fill policy shapes L1 fills from the STLB too: CoLT
 		// coalesces on every fill, probing the neighbouring (cached)
@@ -389,19 +389,48 @@ func (m *MMU) translateMissed(v addr.Virt, tvpn addr.VPN, write bool) (Result, e
 				VPN: untagVPN(e.VPN), PFN: e.PFN, Order: e.Order, Flags: e.Flags,
 			}))
 		}
-		prov, way := m.installL1(e)
 		r.STLBHit = true
-		err := m.fillAfterFinish(v, tvpn, e, &r, write, prov, way)
+		err := m.fillL1(v, tvpn, e, &r, write)
 		return r, err
 	}
 	m.stats.STLBMisses++
+	return m.translateSTLBMissed(v, tvpn, write)
+}
+
+// RetryAfterFault retranslates v after the kernel serviced the demand
+// fault that this MMU's last translation of v raised, when that
+// translation failed in the page walk with pagetable.ErrNotMapped. The
+// failed attempt already missed in every L1 and STLB structure, and
+// servicing a fault installs no TLB or translation-cache state, so the
+// probes a full Translate would repeat cannot hit: RetryAfterFault
+// credits their misses without scanning and resumes at the sidecar and
+// the walk. Every counter, TLB content and LRU order ends as Translate
+// would leave it; calling it in any other situation breaks that.
+func (m *MMU) RetryAfterFault(v addr.Virt, write bool) (Result, error) {
+	m.stats.Accesses++
+	m.hw.l14k.CreditMiss()
+	if m.cfg.Org == OrgTPS {
+		m.hw.tpsL1.CreditMiss()
+	} else {
+		m.hw.l12m.CreditMiss()
+		m.hw.l11g.CreditMiss()
+	}
+	m.stats.L1Misses++
+	m.hw.stlb.CreditMiss()
+	m.hw.stlb1g.CreditMiss()
+	m.stats.STLBMisses++
+	return m.translateSTLBMissed(v, m.tagVPN(v.PageNumber()), write)
+}
+
+// translateSTLBMissed is the miss path below the STLB: the sidecar, else
+// the page walk and the STLB and L1 fills.
+func (m *MMU) translateSTLBMissed(v addr.Virt, tvpn addr.VPN, write bool) (Result, error) {
+	var r Result
 	if m.sidecar != nil {
-		if e, hit := m.sidecar.Lookup(vpn); hit {
+		if e, hit := m.sidecar.Lookup(untagVPN(tvpn)); hit {
 			m.stats.SidecarHits++
-			e = m.tagEntry(e)
-			prov, way := m.installL1(e)
 			r.Sidecar = true
-			err := m.fillAfterFinish(v, tvpn, e, &r, write, prov, way)
+			err := m.fillL1(v, tvpn, m.tagEntry(e), &r, write)
 			return r, err
 		}
 	}
@@ -430,28 +459,76 @@ func (m *MMU) translateMissed(v addr.Virt, tvpn addr.VPN, write bool) (Result, e
 	// policy (CoLT coalescing) only shapes the L1 entry.
 	identity := m.tagEntry(tlb.Entry{VPN: res.VPN, PFN: res.PFN, Order: res.Order, Flags: res.Flags})
 	m.installSTLB(identity)
-	entry := m.tagEntry(m.entryFor(res))
-	prov, way := m.installL1(entry)
 	r.Walked = true
 	r.WalkRefs = refs
-	err = m.fillAfterFinish(v, tvpn, entry, &r, write, prov, way)
+	err = m.fillL1(v, tvpn, m.tagEntry(m.entryFor(res)), &r, write)
 	return r, err
 }
 
-// fillAfterFinish completes the translation and reconciles the software
-// translation cache: a success records the entry's provenance, a failure
-// drops the line — the L1 state just installed may no longer match what
-// the line remembers, so it must not be served until refilled.
-func (m *MMU) fillAfterFinish(v addr.Virt, tvpn addr.VPN, e tlb.Entry, r *Result, write bool, prov uint8, way int) error {
-	err := m.finish(v, tvpn, e, r, write)
-	if m.hw.tc != nil {
-		if err == nil {
-			m.fillTC(tvpn, e, prov, way)
-		} else {
-			m.hw.tc.drop(tvpn)
-		}
+// finishHit completes a translation that hit in the L1 and reconciles the
+// software translation cache: a success records the entry's provenance, a
+// failure drops the line — the L1 state may no longer match what the
+// line remembers, so it must not be served until refilled.
+func (m *MMU) finishHit(v addr.Virt, tvpn addr.VPN, e tlb.Entry, r *Result, write bool, prov uint8, way int) error {
+	if write && e.Flags&pte.FlagWrite == 0 {
+		m.dropTC(tvpn)
+		return ErrWriteProtected
 	}
-	return err
+	m.setPhys(v, tvpn, e, r)
+	changed, err := m.updateAD(v, &e, r, write)
+	if err != nil {
+		m.dropTC(tvpn)
+		return err
+	}
+	if changed {
+		// Insert replaces in place: the resident entry takes the new flags.
+		m.installL1(e)
+	}
+	if m.hw.tc != nil {
+		m.fillTC(tvpn, e, prov, way)
+	}
+	return nil
+}
+
+// fillL1 installs e, an entry from the STLB, the sidecar or a walk, in
+// the L1 and completes the translation through it. The A/D update runs
+// first, so the L1 receives the entry once, with its final flags: that
+// leaves the same contents and LRU order as inserting e and then
+// refreshing it in place. The skewed TPS TLB is the exception — its
+// Insert recognises a resident copy only when a lookup returns it, so
+// with a stale smaller entry at the same base the refresh fills a second
+// slot — and keeps both inserts. A store to a read-only page leaves e
+// installed as it came and fails.
+func (m *MMU) fillL1(v addr.Virt, tvpn addr.VPN, e tlb.Entry, r *Result, write bool) error {
+	if write && e.Flags&pte.FlagWrite == 0 {
+		m.installL1(e)
+		m.dropTC(tvpn)
+		return ErrWriteProtected
+	}
+	m.setPhys(v, tvpn, e, r)
+	final := e
+	changed, err := m.updateAD(v, &final, r, write)
+	if err != nil {
+		m.installL1(e)
+		m.dropTC(tvpn)
+		return err
+	}
+	if changed && m.cfg.Org == OrgTPS && m.hw.tpsFA == nil && e.Order != 0 {
+		// The skewed TPS TLB: insert e as it came, then refresh below.
+		m.installL1(e)
+	}
+	prov, way := m.installL1(final)
+	if m.hw.tc != nil {
+		m.fillTC(tvpn, final, prov, way)
+	}
+	return nil
+}
+
+// dropTC invalidates the translation-cache line for tvpn, if any.
+func (m *MMU) dropTC(tvpn addr.VPN) {
+	if m.hw.tc != nil {
+		m.hw.tc.drop(tvpn)
+	}
 }
 
 // Access is Translate for callers that need only success or failure — the
@@ -472,36 +549,36 @@ func (m *MMU) Access(v addr.Virt, write bool) error {
 // copy-on-write fault, §III-C3).
 var ErrWriteProtected = fmt.Errorf("mmu: write to read-only page")
 
-// finish completes a translation through entry e: physical address, A/D
-// maintenance, result assembly. tvpn is the caller's already-tagged VPN
-// for v; r is mutated in place.
-func (m *MMU) finish(v addr.Virt, tvpn addr.VPN, e tlb.Entry, r *Result, write bool) error {
-	if write && e.Flags&pte.FlagWrite == 0 {
-		return ErrWriteProtected
-	}
-	pfnBase := e.Translate(tvpn)
-	r.Phys = pfnBase.Addr() + addr.Phys(v.Offset(0))
+// setPhys records the physical address and page size of a translation
+// through entry e; tvpn is the caller's already-tagged VPN for v.
+func (m *MMU) setPhys(v addr.Virt, tvpn addr.VPN, e tlb.Entry, r *Result) {
+	r.Phys = e.Translate(tvpn).Addr() + addr.Phys(v.Offset(0))
 	r.Order = e.Order
+}
 
-	// A/D bits: the TLB caches them to avoid redundant stores (§III-C1).
+// updateAD sets the page's Accessed (and, for a store, Dirty) bits when
+// the flags e caches lack them, and gives e the flags the TLB caches from
+// then on. It reports whether e changed. The TLB caches A/D to avoid
+// redundant stores (§III-C1).
+func (m *MMU) updateAD(v addr.Virt, e *tlb.Entry, r *Result, write bool) (bool, error) {
 	needA := e.Flags&pte.FlagAccessed == 0
 	needD := write && e.Flags&pte.FlagDirty == 0
-	if needA || needD {
-		updated, err := m.table.SetAccessedDirty(v, write)
-		if err != nil {
-			return err
-		}
-		if updated {
-			m.stats.ADWrites++
-			r.ADWrite = true
-		}
-		e.Flags |= pte.FlagAccessed
-		if write {
-			e.Flags |= pte.FlagDirty
-		}
-		m.refreshL1(e)
+	if !needA && !needD {
+		return false, nil
 	}
-	return nil
+	updated, err := m.table.SetAccessedDirty(v, write)
+	if err != nil {
+		return false, err
+	}
+	if updated {
+		m.stats.ADWrites++
+		r.ADWrite = true
+	}
+	e.Flags |= pte.FlagAccessed
+	if write {
+		e.Flags |= pte.FlagDirty
+	}
+	return true, nil
 }
 
 // lookupL1 probes the L1 structures, reporting which structure and way
@@ -578,12 +655,6 @@ func (m *MMU) installL1(e tlb.Entry) (uint8, int) {
 			return provL11G, m.hw.l11g.InsertWay(e)
 		}
 	}
-}
-
-// refreshL1 re-inserts an entry whose cached flags changed, if resident.
-func (m *MMU) refreshL1(e tlb.Entry) {
-	// Insert replaces in place when the translation is already resident.
-	m.installL1(e)
 }
 
 // installSTLB routes an entry into the unified or 1G STLB.
@@ -727,9 +798,30 @@ func (m *MMU) L1TLBs() []tlb.TLB {
 // STLBs returns the live L2 structures.
 func (m *MMU) STLBs() []tlb.TLB { return []tlb.TLB{m.hw.stlb, m.hw.stlb1g} }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// EachCached calls f for every translation the shared hardware caches for
+// this MMU's address space, with architectural VPNs: each valid L1 and
+// STLB entry (where names the structure), then each translation-cache
+// line as the page it translates (where is "transcache", Flags 0).
+// Inspection only: no LRU or stat side effects.
+func (m *MMU) EachCached(f func(where string, e tlb.Entry)) {
+	for _, t := range append(m.L1TLBs(), m.STLBs()...) {
+		t.Resident(func(_ int, e tlb.Entry, _ uint64) {
+			if uint16(e.VPN>>asidShift) == m.asid {
+				e.VPN = untagVPN(e.VPN)
+				f(t.Name(), e)
+			}
+		})
 	}
-	return b
+	if m.hw.tc == nil {
+		return
+	}
+	for _, l := range m.hw.tc.ents {
+		if l.tag == tcInvalid || uint16(l.tag>>asidShift) != m.asid {
+			continue
+		}
+		o := addr.Order(l.order)
+		tvpn := addr.VPN(l.tag)
+		base := tvpn.AlignDown(o)
+		f("transcache", tlb.Entry{VPN: untagVPN(base), PFN: l.pfn - addr.PFN(tvpn-base), Order: o})
+	}
 }

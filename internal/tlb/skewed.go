@@ -101,6 +101,13 @@ func (s *Skewed) Lookup(vpn addr.VPN) (Entry, bool) {
 	return Entry{}, false
 }
 
+// CreditMiss replays the state effects of a Lookup that missed: access and
+// miss counters.
+func (s *Skewed) CreditMiss() {
+	s.stats.Accesses++
+	s.stats.Misses++
+}
+
 // Probe implements TLB.
 func (s *Skewed) Probe(vpn addr.VPN) (Entry, bool) {
 	if w := s.find(vpn); w != nil {
@@ -137,6 +144,17 @@ func (s *Skewed) Insert(e Entry) {
 	victim.lru = s.tick
 	s.residents[e.Order]++
 	s.stats.Fills++
+}
+
+// Resident implements TLB; slot w*sets+i is index i of way w.
+func (s *Skewed) Resident(f func(slot int, e Entry, lru uint64)) {
+	for w := range s.ways {
+		for i, c := range s.ways[w] {
+			if c.valid {
+				f(w*s.sets+i, c.entry, c.lru)
+			}
+		}
+	}
 }
 
 // InvalidatePage implements TLB.

@@ -69,6 +69,9 @@ type TLB interface {
 	Lookup(vpn addr.VPN) (Entry, bool)
 	// Probe is Lookup without LRU or stat side effects.
 	Probe(vpn addr.VPN) (Entry, bool)
+	// CreditMiss replays the effects of a Lookup the caller knows would
+	// miss (access and miss counters), without the probe.
+	CreditMiss()
 	// Insert fills the entry, evicting LRU if needed.
 	Insert(e Entry)
 	// InvalidatePage drops any entry covering vpn (INVLPG).
@@ -77,6 +80,10 @@ type TLB interface {
 	InvalidateRange(start, end addr.VPN)
 	// Flush drops everything.
 	Flush()
+	// Resident calls f for every valid entry, in slot order, with its slot
+	// index and LRU stamp (larger is more recent). Inspection only: no
+	// LRU or stat side effects.
+	Resident(f func(slot int, e Entry, lru uint64))
 	// Stats returns the traffic counters accumulated so far.
 	Stats() Stats
 	// Name identifies the TLB in reports.
@@ -124,7 +131,10 @@ type SetAssoc struct {
 	// residents[i] counts valid entries of orders[i], so lookups skip
 	// probes for absent sizes.
 	residents []int
-	stats     Stats
+	// slots[o] is the index of order o in orders, or -1 when the TLB does
+	// not accept order o.
+	slots [addr.MaxOrder + 1]int8
+	stats Stats
 }
 
 // NewSetAssoc builds a set-associative TLB with the given geometry.
@@ -158,6 +168,17 @@ func NewSetAssoc(name string, sets, ways int, orders ...addr.Order) *SetAssoc {
 	for i := range t.tags {
 		t.tags[i] = invalidTag
 	}
+	for o := range t.slots {
+		t.slots[o] = -1
+	}
+	for i, o := range orders {
+		if !o.Valid() {
+			panic(fmt.Sprintf("tlb %s: invalid page order %d", name, o))
+		}
+		if t.slots[o] < 0 {
+			t.slots[o] = int8(i)
+		}
+	}
 	return t
 }
 
@@ -188,12 +209,10 @@ func (t *SetAssoc) index(vpn addr.VPN, o addr.Order) int {
 }
 
 func (t *SetAssoc) orderSlot(o addr.Order) int {
-	for i, v := range t.orders {
-		if v == o {
-			return i
-		}
+	if !o.Valid() {
+		return -1
 	}
-	return -1
+	return int(t.slots[o])
 }
 
 func (t *SetAssoc) entryAt(w int) Entry {
@@ -298,21 +317,30 @@ func (t *SetAssoc) InsertWay(e Entry) int {
 	t.tick++
 	s := t.index(e.VPN, e.Order) * t.ways
 	vi := -1
-	for w := s; w < s+t.ways; w++ {
-		valid := t.tags[w] != invalidTag
-		if valid && t.ords[w] == e.Order && t.tags[w] == uint64(e.VPN) {
-			t.pfns[w] = e.PFN
-			t.flags[w] = e.Flags
-			t.lrus[w] = t.tick
-			return w
+	tags, ords := t.tags[s:s+t.ways], t.ords[s:s+t.ways]
+	for w, tag := range tags {
+		// An entry's tag is never invalidTag, so a tag match is a valid way.
+		if tag == uint64(e.VPN) && ords[w] == e.Order {
+			t.pfns[s+w] = e.PFN
+			t.flags[s+w] = e.Flags
+			t.lrus[s+w] = t.tick
+			return s + w
 		}
-		// Victim: the first invalid way if any, else the least recently
-		// used (strict <, first occurrence).
-		if vi < 0 || !valid || (t.tags[vi] != invalidTag && t.lrus[w] < t.lrus[vi]) {
-			if vi < 0 || t.tags[vi] != invalidTag {
-				vi = w
+		if tag == invalidTag && vi < 0 {
+			vi = s + w
+		}
+	}
+	// Victim: the first invalid way if any, else the least recently used
+	// (strict <, first occurrence).
+	if vi < 0 {
+		lrus := t.lrus[s : s+t.ways]
+		lru := 0
+		for w := 1; w < len(lrus); w++ {
+			if lrus[w] < lrus[lru] {
+				lru = w
 			}
 		}
+		vi = s + lru
 	}
 	if t.tags[vi] != invalidTag {
 		t.residents[t.orderSlot(t.ords[vi])]--
@@ -326,6 +354,15 @@ func (t *SetAssoc) InsertWay(e Entry) int {
 	t.residents[slot]++
 	t.stats.Fills++
 	return vi
+}
+
+// Resident implements TLB; slot s*ways+w is way w of set s.
+func (t *SetAssoc) Resident(f func(slot int, e Entry, lru uint64)) {
+	for i, tag := range t.tags {
+		if tag != invalidTag {
+			f(i, t.entryAt(i), t.lrus[i])
+		}
+	}
 }
 
 // InvalidatePage implements TLB.
@@ -505,7 +542,7 @@ func (t *FullyAssoc) LookupWay(vpn addr.VPN) (Entry, int, bool) {
 
 // CreditHit replays the exact state effects of a Lookup that hit way w:
 // tick advance, LRU stamp, MRU update, access and hit counters. As with
-// SetAssoc.CreditHit, the caller must have verified (WayHolds) that a real
+// SetAssoc.CreditHit, the caller must have verified (WayReady) that a real
 // Lookup would have hit exactly this way.
 func (t *FullyAssoc) CreditHit(w int) {
 	t.stats.Accesses++
@@ -513,6 +550,13 @@ func (t *FullyAssoc) CreditHit(w int) {
 	t.lrus[w] = t.tick
 	t.mru = w
 	t.stats.Hits++
+}
+
+// CreditMiss replays the state effects of a Lookup that missed: access and
+// miss counters (a missing probe touches neither LRU nor MRU state).
+func (t *FullyAssoc) CreditMiss() {
+	t.stats.Accesses++
+	t.stats.Misses++
 }
 
 // Probe implements TLB.
@@ -564,9 +608,8 @@ func (t *FullyAssoc) Insert(e Entry) { t.InsertWay(e) }
 func (t *FullyAssoc) InsertWay(e Entry) int {
 	t.tick++
 	vi := -1
-	for i := range t.tags {
-		valid := t.tags[i] != invalidTag
-		if valid && t.ords[i] == e.Order && t.tags[i] == uint64(e.VPN) {
+	for i, tag := range t.tags {
+		if tag == uint64(e.VPN) && t.ords[i] == e.Order {
 			// Same translation re-filled in place: the covered range is
 			// unchanged, so the overlap count is too.
 			t.pfns[i] = e.PFN
@@ -574,8 +617,16 @@ func (t *FullyAssoc) InsertWay(e Entry) int {
 			t.lrus[i] = t.tick
 			return i
 		}
-		if vi < 0 || !valid || (t.tags[vi] != invalidTag && t.lrus[i] < t.lrus[vi]) {
-			if vi < 0 || t.tags[vi] != invalidTag {
+		if tag == invalidTag && vi < 0 {
+			vi = i
+		}
+	}
+	// Victim: the first invalid slot if any, else the least recently used
+	// (strict <, first occurrence).
+	if vi < 0 {
+		vi = 0
+		for i, lru := range t.lrus {
+			if lru < t.lrus[vi] {
 				vi = i
 			}
 		}
@@ -594,6 +645,15 @@ func (t *FullyAssoc) InsertWay(e Entry) int {
 	t.overlaps += t.overlapPairs(vi)
 	t.stats.Fills++
 	return vi
+}
+
+// Resident implements TLB.
+func (t *FullyAssoc) Resident(f func(slot int, e Entry, lru uint64)) {
+	for i, tag := range t.tags {
+		if tag != invalidTag {
+			f(i, t.entryAt(i), t.lrus[i])
+		}
+	}
 }
 
 // InvalidatePage implements TLB.

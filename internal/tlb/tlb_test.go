@@ -321,11 +321,13 @@ func TestOrganizationsAgreeWhenUnsaturated(t *testing.T) {
 
 func TestNewSetAssocValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewSetAssoc("x", 3, 4, 0) }, // non-pow2 sets
-		func() { NewSetAssoc("x", 0, 4, 0) }, // zero sets
-		func() { NewSetAssoc("x", 4, 0, 0) }, // zero ways
-		func() { NewSetAssoc("x", 4, 4) },    // no orders
-		func() { NewFullyAssoc("x", 0) },     // zero entries
+		func() { NewSetAssoc("x", 3, 4, 0) },               // non-pow2 sets
+		func() { NewSetAssoc("x", 0, 4, 0) },               // zero sets
+		func() { NewSetAssoc("x", 4, 0, 0) },               // zero ways
+		func() { NewSetAssoc("x", 4, 4) },                  // no orders
+		func() { NewSetAssoc("x", 4, 4, addr.MaxOrder+1) }, // order out of range
+		func() { NewSetAssoc("x", 4, 4, -1) },              // negative order
+		func() { NewFullyAssoc("x", 0) },                   // zero entries
 	} {
 		func() {
 			defer func() {

@@ -101,7 +101,9 @@ func (k *Kernel) CloneCOW(base addr.Virt) (addr.Virt, error) {
 			alignOrder = r.order
 		}
 	}
-	dstBase := k.nextVA.AlignUp(alignOrder)
+	// The clone keeps the source's offset within its largest reservation,
+	// so every shared page lands as aligned as it is in the source.
+	dstBase := k.nextVA.AlignUp(alignOrder) + addr.Virt(src.start.Offset(alignOrder))
 	dst := &vma{
 		start: dstBase,
 		end:   dstBase + addr.Virt(size),

@@ -248,6 +248,41 @@ func TestCloneOfClone(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsPageAlignment clones a region whose base is not aligned
+// to its largest reservation, after merging grew an 8-page page inside
+// it. The clone must keep the source's offset within that alignment, or
+// the shared page would land misaligned and the clone fail.
+func TestCloneKeepsPageAlignment(t *testing.T) {
+	k, _ := newSystem(t, DefaultConfig(PolicyTHP), 1<<12, mmu.OrgConventional)
+	if _, err := k.Mmap(addr.BasePageSize, 0); err != nil {
+		t.Fatal(err)
+	}
+	// 16 pages from base page 1: reservations of orders 0, 1, 2, 3, 0.
+	src, err := k.Mmap(16*addr.BasePageSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touchRange(t, k, src, 16)
+	k.MergePages()
+	if k.PageSizeCensus()[3] != 1 {
+		t.Fatalf("census %v: want one order-3 page to clone", k.PageSizeCensus())
+	}
+	dst, err := k.CloneCOW(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst.Offset(3) != src.Offset(3) {
+		t.Errorf("clone base %#x, source %#x: offsets within 32K differ", uint64(dst), uint64(src))
+	}
+	for i := uint64(0); i < 16; i++ {
+		a, _ := k.Access(src+addr.Virt(i*addr.BasePageSize), false)
+		b, err := k.Access(dst+addr.Virt(i*addr.BasePageSize), false)
+		if err != nil || a.Phys != b.Phys {
+			t.Fatalf("page %d: clone maps %#x (%v), source %#x", i, uint64(b.Phys), err, uint64(a.Phys))
+		}
+	}
+}
+
 func TestCloneUnmappedBaseFails(t *testing.T) {
 	k, _ := newSystem(t, DefaultConfig(PolicyTPS), 1<<12, mmu.OrgTPS)
 	if _, err := k.CloneCOW(0x123000); err == nil {

@@ -118,6 +118,7 @@ func New(cfg Config, bud *buddy.Allocator) *Kernel {
 	for o := range k.promoOrders {
 		k.promoOrders[o] = k.promotionOrders(addr.Order(o))
 	}
+	bud.OnCompact(k.relocate)
 	return k
 }
 
@@ -464,33 +465,63 @@ func (k *Kernel) Access(v addr.Virt, write bool) (mmu.Result, error) {
 // Resolve is the slow path of Access: given a failed translation (res, err
 // as Translate returned them), service the demand fault or CoW write fault
 // and retry the translation.
+//
+// A demand fault (pagetable.ErrNotMapped) comes from a failed page walk:
+// no TLB holds a page that is not mapped, so a translation can only fail
+// that way in the walk. That walk proves no mapped page covers v, so the
+// fault skips Fault's coverage check, and the retry resumes at the walk
+// (mmu.RetryAfterFault) instead of probing every TLB again.
 func (k *Kernel) Resolve(v addr.Virt, write bool, res mmu.Result, err error) (mmu.Result, error) {
 	switch {
 	case errors.Is(err, pagetable.ErrNotMapped):
-		if err := k.Fault(v, write); err != nil {
+		vma, r, err := k.faultRegion(v)
+		if err != nil {
 			return mmu.Result{}, err
 		}
+		if err := k.demandMap(vma, r, v.PageNumber()); err != nil {
+			return mmu.Result{}, err
+		}
+		return k.mmu.RetryAfterFault(v, write)
 	case isWriteProtected(err):
 		if err := k.handleCOWFault(v); err != nil {
 			return mmu.Result{}, err
 		}
+		return k.mmu.Translate(v, write)
 	default:
 		return res, err
 	}
-	return k.mmu.Translate(v, write)
 }
 
 // Fault handles a demand page fault at v: allocate the base page from the
-// reservation and run the promotion cascade (§III-B1).
+// reservation and run the promotion cascade (§III-B1). The caller need not
+// have seen a translation fail: a fault at a page some mapped page already
+// covers (an earlier promotion below threshold 1.0 mapped it, or a caller
+// faults ahead of the first access) counts as a fault and maps nothing.
+// Resolve, whose failed walk already proves the page unmapped, skips that
+// coverage check.
 func (k *Kernel) Fault(v addr.Virt, write bool) error {
+	vma, r, err := k.faultRegion(v)
+	if err != nil {
+		return err
+	}
+	vpn := v.PageNumber()
+	if k.coveredBy(r, vpn) {
+		return nil
+	}
+	return k.demandMap(vma, r, vpn)
+}
+
+// faultRegion finds the VMA and reservation a fault at v falls in, and
+// counts the fault and the page it demands.
+func (k *Kernel) faultRegion(v addr.Virt) (*vma, *reservation, error) {
 	vma := k.findVMA(v)
 	if vma == nil {
-		return fmt.Errorf("vmm: segfault at %#x (no VMA)", uint64(v))
+		return nil, nil, fmt.Errorf("vmm: segfault at %#x (no VMA)", uint64(v))
 	}
 	vpn := v.PageNumber()
 	r := vma.findReservation(vpn)
 	if r == nil {
-		return fmt.Errorf("vmm: no reservation for %#x", uint64(v))
+		return nil, nil, fmt.Errorf("vmm: no reservation for %#x", uint64(v))
 	}
 	k.stats.Faults++
 	k.stats.SysCycles += k.cfg.Costs.Fault
@@ -498,14 +529,16 @@ func (k *Kernel) Fault(v addr.Virt, write bool) error {
 	if r.markTouched(vpn) {
 		k.stats.DemandPages++
 	}
-	// Already mapped (by an earlier promotion below threshold 1.0)?
-	if k.coveredBy(r, vpn) {
-		return nil
-	}
+	return vma, r, nil
+}
+
+// demandMap maps the unmapped base page vpn from its reservation frame (or
+// a fresh frame, for lazy reservations) and runs the promotion cascade.
+func (k *Kernel) demandMap(vma *vma, r *reservation, vpn addr.VPN) error {
 	pfn, _, ok := r.frameFor(vpn)
 	if !ok {
 		if !r.lazy {
-			return fmt.Errorf("vmm: reservation has no frame for %#x", uint64(v))
+			return fmt.Errorf("vmm: reservation has no frame for %#x", uint64(vpn.Addr()))
 		}
 		p, err := k.bud.Alloc(0)
 		if err != nil {
@@ -679,11 +712,17 @@ func (k *Kernel) Munmap(base addr.Virt) error {
 }
 
 // Compact invokes idealized memory compaction: the buddy allocator
-// migrates allocated blocks to coalesce free space; the kernel rewrites
-// every affected PTE and flushes stale translations.
+// migrates allocated blocks to coalesce free space; every kernel
+// allocating from it (SMT siblings share one) rewrites its affected PTEs
+// and flushes stale translations.
 func (k *Kernel) Compact() {
-	reloc := k.bud.Compact()
 	k.stats.Compactions++
+	k.bud.Compact()
+}
+
+// relocate follows a compaction's block moves: it rewrites the PTEs and
+// the frame bookkeeping of this address space, then flushes the TLBs.
+func (k *Kernel) relocate(reloc buddy.RelocationSet) {
 	// Rewrite every mapped page by resolving its *current* frame through
 	// the block moves — this covers reservation-backed, lazily allocated,
 	// CoW-shared and CoW-private frames uniformly, including frames

@@ -600,3 +600,51 @@ func TestConsolidateReservations(t *testing.T) {
 		t.Errorf("leak: %d != %d", bud.FreePages(), bud.TotalPages())
 	}
 }
+
+// TestCompactionRewritesEverySharer runs two address spaces over one
+// allocator, as SMT siblings do. A compaction one of them starts moves the
+// other's blocks too, so the other must follow the moves: its reservation
+// blocks stay owned and its pages keep translating to their frames.
+func TestCompactionRewritesEverySharer(t *testing.T) {
+	bud := buddy.New(1 << 14)
+	var ks [2]*Kernel
+	for i := range ks {
+		ks[i] = New(DefaultConfig(PolicyTPS), bud)
+		ks[i].AttachMMU(mmu.NewThread(mmu.NewHardware(mmu.DefaultConfig(mmu.OrgTPS)), ks[i].Table(), uint16(i), nil, nil))
+	}
+	first, err := ks[0].Mmap(1<<10*addr.BasePageSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touchRange(t, ks[0], first, 1<<10)
+	shared, err := ks[1].Mmap(300*addr.BasePageSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	touchRange(t, ks[1], shared, 200)
+	// Free the low frames, so compaction moves the sibling's blocks down.
+	if err := ks[0].Munmap(first); err != nil {
+		t.Fatal(err)
+	}
+	ks[0].Compact()
+	if bud.Stats().Migrations == 0 {
+		t.Fatal("compaction moved nothing")
+	}
+	for _, r := range ks[1].vmas[0].reservations {
+		for _, b := range r.blocks {
+			if o, ok := bud.Owned(b.pfn); !ok || o != b.order {
+				t.Fatalf("sibling block %+v not owned after compaction (%d, %v)", b, o, ok)
+			}
+		}
+	}
+	touchRange(t, ks[1], shared, 300)
+	for i := uint64(0); i < 300; i++ {
+		v := shared + addr.Virt(i*addr.BasePageSize)
+		r := ks[1].vmas[0].findReservation(v.PageNumber())
+		want, _, _ := r.frameFor(v.PageNumber())
+		got, err := ks[1].Access(v, false)
+		if err != nil || got.Phys.PageNumber() != want {
+			t.Fatalf("page %d: translates to %#x (%v), reservation frame %#x", i, uint64(got.Phys), err, want)
+		}
+	}
+}
