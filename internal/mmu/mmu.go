@@ -397,15 +397,16 @@ func (m *MMU) translateMissed(v addr.Virt, tvpn addr.VPN, write bool) (Result, e
 	return m.translateSTLBMissed(v, tvpn, write)
 }
 
-// RetryAfterFault retranslates v after the kernel serviced the demand
-// fault that this MMU's last translation of v raised, when that
-// translation failed in the page walk with pagetable.ErrNotMapped. The
-// failed attempt already missed in every L1 and STLB structure, and
-// servicing a fault installs no TLB or translation-cache state, so the
-// probes a full Translate would repeat cannot hit: RetryAfterFault
-// credits their misses without scanning and resumes at the sidecar and
-// the walk. Every counter, TLB content and LRU order ends as Translate
-// would leave it; calling it in any other situation breaks that.
+// RetryAfterFault translates v when no TLB or translation-cache line
+// covers it, so every L1 and STLB probe of a full Translate would miss:
+// it credits those misses without scanning and resumes at the sidecar
+// and the walk. Every counter, TLB content and LRU order then ends as
+// Translate would leave it; calling it when a line may cover v breaks
+// that. The premise holds for any page that is not mapped, since no
+// line ever covers an unmapped page. So it holds before a demand fault,
+// for a page the kernel knows to be unmapped (the attempt then fails in
+// the walk with pagetable.ErrNotMapped), and after it: servicing the
+// fault installs no TLB or translation-cache state.
 func (m *MMU) RetryAfterFault(v addr.Virt, write bool) (Result, error) {
 	m.stats.Accesses++
 	m.hw.l14k.CreditMiss()

@@ -81,12 +81,28 @@ func checkCachedAreMapped(t *testing.T, desc string, p *proc) {
 	})
 }
 
+// checkUntouchedUnmapped fails if a page of p's address space that its
+// reservation has never touched does not walk to pagetable.ErrNotMapped:
+// Kernel.TouchPages faults such a page without probing any TLB.
+func checkUntouchedUnmapped(t *testing.T, desc string, p *proc) {
+	t.Helper()
+	p.kernel.EachUntouched(func(vpn addr.VPN) {
+		if _, err := p.kernel.Table().Walk(vpn.Addr()); !errors.Is(err, pagetable.ErrNotMapped) {
+			t.Fatalf("%s: ASID %d page %#x was never touched, yet its walk returns %v",
+				desc, p.mmu.ASID(), vpn, err)
+		}
+	})
+}
+
 // TestNoTLBEntryCoversUnmappedPage runs seeded sequences of mmap, munmap,
 // first-touch sweeps (faults and promotions), random references,
 // compaction, reservation consolidation, page merging and copy-on-write
-// clones under every registered scheme, with SMT so that both address
-// spaces share the TLBs under distinct ASIDs. After every operation, no
-// cached translation of either address space may cover an unmapped page.
+// clones under every registered scheme (the eager ones included), with SMT
+// so that both address spaces share the TLBs under distinct ASIDs, at the
+// default promotion threshold and at 0.5, where a promotion maps pages no
+// reference has touched. After every operation, no cached translation of
+// either address space may cover an unmapped page, and every page its
+// reservation has not touched must be unmapped.
 func TestNoTLBEntryCoversUnmappedPage(t *testing.T) {
 	for i, name := range scheme.Names() {
 		setup, ok := SetupByName(name)
@@ -95,76 +111,97 @@ func TestNoTLBEntryCoversUnmappedPage(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			m := newMachine(Options{Setup: setup, SMT: true, MemoryPages: 1 << 16})
-			rng := rand.New(rand.NewSource(int64(i) + 7))
-			regions := make([][]region, len(m.procs))
-			clones := 0
-			for step := 0; step < 400; step++ {
-				th := rng.Intn(len(m.procs))
-				p := m.procs[th]
-				rs := regions[th]
-				var desc string
-				switch op := rng.Intn(100); {
-				case op < 12 && len(rs) < 4 || len(rs) == 0:
-					pages := randomPages(rng)
-					desc = fmt.Sprintf("step %d: thread %d mmaps %d pages", step, th, pages)
-					base, err := p.kernel.Mmap(pages*addr.BasePageSize, 0)
-					if err != nil {
-						t.Fatalf("%s: %v", desc, err)
-					}
-					regions[th] = append(rs, region{base, pages})
-				case op < 18 && len(rs) > 1:
-					k := rng.Intn(len(rs))
-					desc = fmt.Sprintf("step %d: thread %d munmaps %#x", step, th, uint64(rs[k].base))
-					if err := p.kernel.Munmap(rs[k].base); err != nil {
-						t.Fatalf("%s: %v", desc, err)
-					}
-					regions[th] = append(rs[:k], rs[k+1:]...)
-				case op < 60:
-					// A first-touch sweep, as a workload's warm-up.
-					r := rs[rng.Intn(len(rs))]
-					first := uint64(rng.Int63n(int64(r.pages)))
-					n := min(r.pages-first, 1+uint64(rng.Intn(96)))
-					write := rng.Intn(4) != 0
-					desc = fmt.Sprintf("step %d: thread %d sweeps %d pages at %#x (write %v)", step, th, n, uint64(r.base)+first*addr.BasePageSize, write)
-					for pg := first; pg < first+n; pg++ {
-						if err := m.refAs(th, trace.Ref{Addr: r.base + addr.Virt(pg*addr.BasePageSize), Write: write}); err != nil {
-							t.Fatalf("%s: %v", desc, err)
-						}
-					}
-				case op < 88:
-					desc = fmt.Sprintf("step %d: thread %d references at random", step, th)
-					for n := 0; n < 64; n++ {
-						r := rs[rng.Intn(len(rs))]
-						v := r.base + addr.Virt(rng.Int63n(int64(r.pages*addr.BasePageSize)))
-						if err := m.refAs(th, trace.Ref{Addr: v, Write: rng.Intn(3) == 0}); err != nil {
-							t.Fatalf("%s: %v", desc, err)
-						}
-					}
-				case op < 91:
-					desc = fmt.Sprintf("step %d: thread %d compacts", step, th)
-					p.kernel.Compact()
-				case op < 94:
-					desc = fmt.Sprintf("step %d: thread %d consolidates reservations and merges pages", step, th)
-					p.kernel.ConsolidateReservations()
-					p.kernel.MergePages()
-				case op < 97 && clones < 6:
-					r := rs[rng.Intn(len(rs))]
-					desc = fmt.Sprintf("step %d: thread %d clones %#x copy-on-write", step, th, uint64(r.base))
-					clone, err := p.kernel.CloneCOW(r.base)
-					if err != nil {
-						t.Fatalf("%s: %v", desc, err)
-					}
-					clones++
-					regions[th] = append(rs, region{clone, r.pages})
-				default:
-					desc = fmt.Sprintf("step %d: no-op", step)
-				}
-				for _, q := range m.procs {
-					checkCachedAreMapped(t, desc, q)
-				}
+			for _, threshold := range []float64{0, 0.5} {
+				t.Run(fmt.Sprintf("threshold=%g", threshold), func(t *testing.T) {
+					t.Parallel()
+					noUncoveredCache(t, Options{Setup: setup, SMT: true, MemoryPages: 1 << 16, PromotionThreshold: threshold}, int64(i)+7)
+				})
 			}
 		})
+	}
+}
+
+// noUncoveredCache is one seeded sequence of TestNoTLBEntryCoversUnmappedPage.
+func noUncoveredCache(t *testing.T, opts Options, seed int64) {
+	m := newMachine(opts)
+	rng := rand.New(rand.NewSource(seed))
+	regions := make([][]region, len(m.procs))
+	clones := 0
+	for step := 0; step < 400; step++ {
+		th := rng.Intn(len(m.procs))
+		p := m.procs[th]
+		rs := regions[th]
+		var desc string
+		switch op := rng.Intn(100); {
+		case op < 12 && len(rs) < 4 || len(rs) == 0:
+			pages := randomPages(rng)
+			desc = fmt.Sprintf("step %d: thread %d mmaps %d pages", step, th, pages)
+			base, err := p.kernel.Mmap(pages*addr.BasePageSize, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", desc, err)
+			}
+			regions[th] = append(rs, region{base, pages})
+		case op < 18 && len(rs) > 1:
+			k := rng.Intn(len(rs))
+			desc = fmt.Sprintf("step %d: thread %d munmaps %#x", step, th, uint64(rs[k].base))
+			if err := p.kernel.Munmap(rs[k].base); err != nil {
+				t.Fatalf("%s: %v", desc, err)
+			}
+			regions[th] = append(rs[:k], rs[k+1:]...)
+		case op < 60:
+			// A first-touch sweep, as a workload's warm-up: reads or
+			// writes one reference at a time, or writes through the
+			// kernel's page loop.
+			r := rs[rng.Intn(len(rs))]
+			first := uint64(rng.Int63n(int64(r.pages)))
+			n := min(r.pages-first, 1+uint64(rng.Intn(96)))
+			kind := rng.Intn(4)
+			write, bulk := kind != 0, kind >= 2
+			start := r.base + addr.Virt(first*addr.BasePageSize)
+			desc = fmt.Sprintf("step %d: thread %d sweeps %d pages at %#x (write %v, bulk %v)", step, th, n, uint64(start), write, bulk)
+			if bulk {
+				if err := p.kernel.TouchPages(start, n); err != nil {
+					t.Fatalf("%s: %v", desc, err)
+				}
+				break
+			}
+			for pg := uint64(0); pg < n; pg++ {
+				if err := m.refAs(th, trace.Ref{Addr: start + addr.Virt(pg*addr.BasePageSize), Write: write}); err != nil {
+					t.Fatalf("%s: %v", desc, err)
+				}
+			}
+		case op < 88:
+			desc = fmt.Sprintf("step %d: thread %d references at random", step, th)
+			for n := 0; n < 64; n++ {
+				r := rs[rng.Intn(len(rs))]
+				v := r.base + addr.Virt(rng.Int63n(int64(r.pages*addr.BasePageSize)))
+				if err := m.refAs(th, trace.Ref{Addr: v, Write: rng.Intn(3) == 0}); err != nil {
+					t.Fatalf("%s: %v", desc, err)
+				}
+			}
+		case op < 91:
+			desc = fmt.Sprintf("step %d: thread %d compacts", step, th)
+			p.kernel.Compact()
+		case op < 94:
+			desc = fmt.Sprintf("step %d: thread %d consolidates reservations and merges pages", step, th)
+			p.kernel.ConsolidateReservations()
+			p.kernel.MergePages()
+		case op < 97 && clones < 6:
+			r := rs[rng.Intn(len(rs))]
+			desc = fmt.Sprintf("step %d: thread %d clones %#x copy-on-write", step, th, uint64(r.base))
+			clone, err := p.kernel.CloneCOW(r.base)
+			if err != nil {
+				t.Fatalf("%s: %v", desc, err)
+			}
+			clones++
+			regions[th] = append(rs, region{clone, r.pages})
+		default:
+			desc = fmt.Sprintf("step %d: no-op", step)
+		}
+		for _, q := range m.procs {
+			checkCachedAreMapped(t, desc, q)
+			checkUntouchedUnmapped(t, desc, q)
+		}
 	}
 }
 

@@ -469,7 +469,7 @@ func (m *machine) RefBatch(refs []trace.Ref) error {
 	if m.opts.OnRefs != nil {
 		m.opts.OnRefs(uint64(len(refs)))
 	}
-	if m.opts.CompactEvery == 0 && m.caches == nil {
+	if m.functional() {
 		// Functional mode does nothing per reference beyond the
 		// translation itself, so drive the MMU straight from the slice
 		// through the Result-free Access fast path.
@@ -492,6 +492,47 @@ func (m *machine) RefBatch(refs []trace.Ref) error {
 	m.sampler.advance(uint64(len(refs)))
 	return nil
 }
+
+// touchChunk is the number of pages machine.Touch handles between two
+// cancellation polls: one reference batch, so cancellation, telemetry and
+// sampling keep RefBatch's granularity.
+const touchChunk = 512
+
+// Touch implements trace.TouchSink (thread 0), one chunk of touchChunk
+// pages per cancellation poll, OnRefs call and sampler advance. In
+// functional mode the kernel runs each chunk as a page loop
+// (vmm.Kernel.TouchPages); the compaction daemon and the cycle model act
+// per reference, so those runs take the chunk one reference at a time.
+func (m *machine) Touch(base addr.Virt, size uint64, gap uint32) error {
+	for pages := trace.TouchRefs(size); pages > 0; {
+		n := min(pages, touchChunk)
+		if err := m.ctxErr(); err != nil {
+			return err
+		}
+		if m.opts.OnRefs != nil {
+			m.opts.OnRefs(n)
+		}
+		if m.functional() {
+			if err := m.procs[0].kernel.TouchPages(base, n); err != nil {
+				return err
+			}
+		} else {
+			for i := uint64(0); i < n; i++ {
+				if err := m.refAs(0, trace.Ref{Addr: base + addr.Virt(i*addr.BasePageSize), Write: true, Gap: gap}); err != nil {
+					return err
+				}
+			}
+		}
+		m.sampler.advance(n)
+		base += addr.Virt(n * addr.BasePageSize)
+		pages -= n
+	}
+	return nil
+}
+
+// functional reports whether the machine does nothing per reference
+// beyond the translation itself: no compaction daemon, no cycle model.
+func (m *machine) functional() bool { return m.opts.CompactEvery == 0 && m.caches == nil }
 
 func (m *machine) mmapAs(t int, size uint64) (addr.Virt, error) {
 	return m.procs[t].kernel.Mmap(size, 0)

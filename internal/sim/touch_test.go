@@ -1,0 +1,214 @@
+package sim
+
+// Generators deliver each warm-up sweep as one trace.Touch event, and a
+// functional machine runs it as vmm.Kernel.TouchPages, a page loop that
+// faults never-touched pages without probing any TLB. The tests here hold
+// that path to the per-reference path it replaces, and check that a
+// canceled run stops within one chunk of a sweep.
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"tps/internal/addr"
+	"tps/internal/fragstate"
+	"tps/internal/trace"
+	"tps/internal/workload"
+)
+
+// perRefSink hides every optional interface of the sink it wraps except
+// PhaseSink, so a sweep reaches it as per-page references through Ref.
+type perRefSink struct{ trace.Sink }
+
+func (s perRefSink) Phase(name string) { trace.AnnouncePhase(s.Sink, name) }
+
+// perRef returns w with every sweep expanded into per-page references
+// before they reach the machine: the path runs took before trace.Touch.
+func perRef(w workload.Workload) workload.Workload {
+	run := w.Run
+	w.Run = func(s trace.Sink, refs uint64, seed int64) error {
+		return run(perRefSink{s}, refs, seed)
+	}
+	return w
+}
+
+// touchChurn sweeps regions of odd sizes (the last page partial in some),
+// after scattered reads have faulted a few of their pages, then sweeps
+// sub-ranges again over pages already touched, and in the measured phase
+// mixes random references with new regions swept in halves.
+func touchChurn() workload.Workload {
+	return workload.Workload{
+		Name: "touch-churn",
+		Run: func(s trace.Sink, refs uint64, seed int64) error {
+			r := rand.New(rand.NewSource(seed))
+			type region struct {
+				base addr.Virt
+				size uint64
+			}
+			var live []region
+			mmap := func() (region, error) {
+				size := uint64(1+r.Intn(3000))*addr.BasePageSize - uint64(r.Intn(2))*100
+				base, err := s.Mmap(size)
+				g := region{base, size}
+				live = append(live, g)
+				return g, err
+			}
+			at := func(g region) addr.Virt { return g.base + addr.Virt(uint64(r.Int63n(int64(g.size)))&^7) }
+			for i := 0; i < 4; i++ {
+				g, err := mmap()
+				if err != nil {
+					return err
+				}
+				for j := 0; j < 8; j++ {
+					if err := s.Ref(trace.Ref{Addr: at(g), Gap: 2}); err != nil {
+						return err
+					}
+				}
+				if err := trace.Touch(s, g.base, g.size, 256); err != nil {
+					return err
+				}
+			}
+			for i := 0; i < 8; i++ {
+				g := live[r.Intn(len(live))]
+				off := uint64(r.Int63n(int64(g.size))) &^ (addr.BasePageSize - 1)
+				if err := trace.Touch(s, g.base+addr.Virt(off), uint64(r.Int63n(int64(g.size-off)))+1, 64); err != nil {
+					return err
+				}
+			}
+			trace.AnnouncePhase(s, trace.MainPhase)
+			for n := uint64(0); n < refs; n++ {
+				if r.Intn(4096) == 0 && len(live) < 8 {
+					g, err := mmap()
+					if err != nil {
+						return err
+					}
+					half := g.size / 2 &^ (addr.BasePageSize - 1)
+					if err := trace.Touch(s, g.base, half, 16); err != nil {
+						return err
+					}
+					if err := trace.Touch(s, g.base+addr.Virt(half), g.size-half, 16); err != nil {
+						return err
+					}
+					continue
+				}
+				ref := trace.Ref{Addr: at(live[r.Intn(len(live))]), Write: r.Intn(3) == 0, Dep: r.Intn(5) == 0, Gap: 4}
+				if err := s.Ref(ref); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+}
+
+// TestTouchMatchesPerPageRefs runs workloads whose sweeps reach the
+// machine as Touch events and, through perRef, as per-page references,
+// under every registered scheme on fresh and fragmented memory, at
+// promotion threshold 0.5, without the translation cache, virtualized,
+// with the compaction daemon, with the cycle model and under SMT. The
+// Results and the references reported through OnRefs must be equal.
+func TestTouchMatchesPerPageRefs(t *testing.T) {
+	variants := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"fresh", func(*Options) {}},
+		{"prefragment", func(o *Options) { o.PreFragment = fragstate.PreFragment(fragstate.DefaultParams()) }},
+		{"threshold=0.5", func(o *Options) { o.PromotionThreshold = 0.5 }},
+		{"no-transcache", func(o *Options) { o.TransCache = -1 }},
+		{"virtualized", func(o *Options) { o.Virtualized = true }},
+		{"compact-every", func(o *Options) { o.CompactEvery = 5000 }},
+		{"cycle-model", func(o *Options) { o.CycleModel = true }},
+		{"smt", func(o *Options) { o.SMT = true }},
+	}
+	leela, ok := workload.ByName("leela")
+	if !ok {
+		t.Fatal("leela missing from the catalog")
+	}
+	gcc, ok := workload.ByName("gcc")
+	if !ok {
+		t.Fatal("gcc missing from the catalog")
+	}
+	// gcc adds a 208 MB footprint over many regions; the race detector
+	// makes its sweeps slow on the same code path, so a race build runs
+	// the other two.
+	workloads := []workload.Workload{touchChurn(), leela, gcc}
+	if raceEnabled {
+		workloads = workloads[:2]
+	}
+	for _, setup := range Setups() {
+		for _, variant := range variants {
+			t.Run(setup.SchemeName()+"/"+variant.name, func(t *testing.T) {
+				t.Parallel()
+				for _, w := range workloads {
+					var touchRefs, perRefRefs uint64
+					opts := Options{Setup: setup, Refs: 20000, Seed: 42, MemoryPages: 1 << 19}
+					variant.set(&opts)
+					opts.OnRefs = func(n uint64) { touchRefs += n }
+					got, err := Run(w, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", w.Name, err)
+					}
+					opts.OnRefs = func(n uint64) { perRefRefs += n }
+					want, err := Run(perRef(w), opts)
+					if err != nil {
+						t.Fatalf("%s per-page refs: %v", w.Name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: Touch diverged from per-page refs\ntouch:   %+v\nper-ref: %+v", w.Name, got, want)
+					}
+					if touchRefs != perRefRefs || touchRefs == 0 {
+						t.Errorf("%s: OnRefs reported %d references, per-page refs %d", w.Name, touchRefs, perRefRefs)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTouchCancelStopsWithinChunk cancels a run from its telemetry hook
+// at the first chunk of a 16384-page sweep: the machine polls the context
+// before each chunk, so exactly one chunk is faulted in.
+func TestTouchCancelStopsWithinChunk(t *testing.T) {
+	const pages = 16384
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var reported uint64
+	m := newMachine(Options{Setup: SetupTPS, Context: ctx, OnRefs: func(n uint64) {
+		reported += n
+		cancel()
+	}})
+	base, err := m.Mmap(pages * addr.BasePageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Touch(base, pages*addr.BasePageSize, 256); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Touch returned %v, want context.Canceled", err)
+	}
+	if faults := m.procs[0].kernel.Stats().Faults; reported != touchChunk || faults != touchChunk {
+		t.Errorf("a sweep canceled in its first chunk reported %d references and faulted %d pages, want %d of each",
+			reported, faults, touchChunk)
+	}
+
+	// The same through Run: the canceled sweep fails the run.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	reported = 0
+	sweep := workload.Workload{Name: "sweep", Run: func(s trace.Sink, _ uint64, _ int64) error {
+		base, err := s.Mmap(pages * addr.BasePageSize)
+		if err != nil {
+			return err
+		}
+		return trace.Touch(s, base, pages*addr.BasePageSize, 256)
+	}}
+	_, err = Run(sweep, Options{Setup: SetupTPS, Context: ctx, OnRefs: func(n uint64) {
+		reported += n
+		cancel()
+	}})
+	if !errors.Is(err, context.Canceled) || reported != touchChunk {
+		t.Errorf("Run returned %v after %d references, want context.Canceled after %d", err, reported, touchChunk)
+	}
+}

@@ -62,6 +62,55 @@ func EmitBatch(s Sink, refs []Ref) error {
 	return nil
 }
 
+// TouchSink is optionally implemented by sinks that can consume a whole
+// first-touch sweep as one event: the simulator's machine runs it as a
+// page loop instead of one reference at a time.
+type TouchSink interface {
+	Sink
+	// Touch performs one write per base page of [base, base+size), in
+	// address order, each with the given instruction gap. It must be
+	// equivalent to those references delivered through Ref.
+	Touch(base addr.Virt, size uint64, gap uint32) error
+}
+
+// Touch delivers a first-touch sweep of [base, base+size): one write per
+// base page, each with the given gap. A TouchSink receives it as one
+// event, a BatchSink as the per-page references in batches of at most
+// batcherCap, and any other sink one reference at a time.
+func Touch(s Sink, base addr.Virt, size uint64, gap uint32) error {
+	switch s := s.(type) {
+	case TouchSink:
+		return s.Touch(base, size, gap)
+	case BatchSink:
+		pages := TouchRefs(size)
+		buf := make([]Ref, min(pages, batcherCap))
+		for off := uint64(0); pages > 0; {
+			batch := buf[:min(pages, batcherCap)]
+			for i := range batch {
+				batch[i] = Ref{Addr: base + addr.Virt(off), Write: true, Gap: gap}
+				off += addr.BasePageSize
+			}
+			if err := s.RefBatch(batch); err != nil {
+				return err
+			}
+			pages -= uint64(len(batch))
+		}
+		return nil
+	}
+	for off := uint64(0); off < size; off += addr.BasePageSize {
+		if err := s.Ref(Ref{Addr: base + addr.Virt(off), Write: true, Gap: gap}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TouchRefs returns the number of references a sweep of size bytes
+// makes: one per base page it starts, the last possibly partial.
+func TouchRefs(size uint64) uint64 {
+	return (size + addr.BasePageSize - 1) / addr.BasePageSize
+}
+
 // batcherCap is the Batcher buffer size: 512 references (16 KB) keeps the
 // flush unit comfortably inside the L1 data cache while amortizing the
 // interface dispatch down to one call per 512 references.
@@ -100,6 +149,14 @@ func (b *Batcher) Flush() error {
 	err := EmitBatch(b.sink, b.buf)
 	b.buf = b.buf[:0]
 	return err
+}
+
+// Touch implements TouchSink, flushing buffered references first.
+func (b *Batcher) Touch(base addr.Virt, size uint64, gap uint32) error {
+	if err := b.Flush(); err != nil {
+		return err
+	}
+	return Touch(b.sink, base, size, gap)
 }
 
 // Mmap implements Sink, flushing buffered references first so faults and
@@ -178,6 +235,16 @@ func (c *CountingSink) RefBatch(refs []Ref) error {
 		}
 	}
 	return EmitBatch(c.Sink, refs)
+}
+
+// Touch implements TouchSink: tally the sweep's references, then forward
+// it whole.
+func (c *CountingSink) Touch(base addr.Virt, size uint64, gap uint32) error {
+	n := TouchRefs(size)
+	c.Refs += n
+	c.Instructions += n * (uint64(gap) + 1)
+	c.Writes += n
+	return Touch(c.Sink, base, size, gap)
 }
 
 // Phase implements PhaseSink: counters restart at the measured phase and

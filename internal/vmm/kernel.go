@@ -523,13 +523,65 @@ func (k *Kernel) faultRegion(v addr.Virt) (*vma, *reservation, error) {
 	if r == nil {
 		return nil, nil, fmt.Errorf("vmm: no reservation for %#x", uint64(v))
 	}
+	k.countFault(r, vpn)
+	return vma, r, nil
+}
+
+// countFault counts a fault at vpn in r and marks the page demanded.
+func (k *Kernel) countFault(r *reservation, vpn addr.VPN) {
 	k.stats.Faults++
 	k.stats.SysCycles += k.cfg.Costs.Fault
-
 	if r.markTouched(vpn) {
 		k.stats.DemandPages++
 	}
-	return vma, r, nil
+}
+
+// TouchPages writes n base pages in address order, starting at v: the
+// warm-up sweep of a region. It leaves every counter, mapping and TLB
+// exactly as n calls of Access(v+i*BasePageSize, true) would, but runs
+// the first touch of a page as one pass. A page whose reservation has
+// never touched it is unmapped, and no TLB or translation-cache line
+// covers an unmapped page, so its first attempt starts at the sidecar
+// and the walk (mmu.RetryAfterFault), fails there, faults without the
+// coverage check, and retries from the walk. Every other page (touched,
+// or in no reservation) goes through Access. The VMA and the reservation
+// carry over from page to page and are looked up again only when the
+// sweep leaves them.
+func (k *Kernel) TouchPages(v addr.Virt, n uint64) error {
+	var (
+		vm *vma
+		r  *reservation
+	)
+	for ; n > 0; n, v = n-1, v+addr.BasePageSize {
+		vpn := v.PageNumber()
+		if vm == nil || v < vm.start || v >= vm.end {
+			vm, r = k.findVMA(v), nil
+		}
+		if vm != nil && (r == nil || !r.contains(vpn)) {
+			r = vm.findReservation(vpn)
+		}
+		if r == nil || r.isTouched(vpn) {
+			if _, err := k.Access(v, true); err != nil {
+				return err
+			}
+			continue
+		}
+		// The walk returns the ErrNotMapped sentinel itself, unwrapped.
+		if _, err := k.mmu.RetryAfterFault(v, true); err != pagetable.ErrNotMapped {
+			if err == nil {
+				err = fmt.Errorf("vmm: never-touched page %#x is mapped", uint64(v))
+			}
+			return err
+		}
+		k.countFault(r, vpn)
+		if err := k.demandMap(vm, r, vpn); err != nil {
+			return err
+		}
+		if _, err := k.mmu.RetryAfterFault(v, true); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // demandMap maps the unmapped base page vpn from its reservation frame (or
@@ -901,6 +953,21 @@ func (k *Kernel) CensusInto(census *[addr.MaxOrder + 1]uint64) {
 	k.table.MappedPages(func(_ addr.VPN, _ addr.PFN, o addr.Order, _ uint64) {
 		census[o]++
 	})
+}
+
+// EachUntouched calls fn for every base page of every reservation whose
+// touched bit is clear: the pages TouchPages takes as unmapped, faulting
+// them without probing any TLB. For tests that check that premise.
+func (k *Kernel) EachUntouched(fn func(vpn addr.VPN)) {
+	for _, v := range k.vmas {
+		for _, r := range v.reservations {
+			for vpn := r.vpn; vpn < r.end(); vpn++ {
+				if !r.isTouched(vpn) {
+					fn(vpn)
+				}
+			}
+		}
+	}
 }
 
 // PageSizeCensus counts currently mapped pages per order (Fig. 18).

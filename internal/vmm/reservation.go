@@ -131,6 +131,12 @@ func (r *reservation) markTouched(vpn addr.VPN) bool {
 	return true
 }
 
+// isTouched reports whether vpn's touched bit is set.
+func (r *reservation) isTouched(vpn addr.VPN) bool {
+	i := uint64(vpn - r.vpn)
+	return r.touched[i/64]&(1<<(i%64)) != 0
+}
+
 // markRegionTouched sets all bits in [start, start+pages); promotion below
 // threshold 1.0 maps untouched pages, which count as utilized thereafter.
 func (r *reservation) markRegionTouched(start addr.VPN, pages uint64) {
@@ -150,6 +156,12 @@ func (r *reservation) touchedIn(start addr.VPN, pages uint64) uint64 {
 			n += uint64(bits.OnesCount64(r.touched[w]))
 		}
 		return n
+	}
+	// A region inside one word (every aligned region below 64 pages):
+	// popcount the masked word.
+	if b := off % 64; b+pages <= 64 {
+		mask := ^uint64(0) >> (64 - pages) << b
+		return uint64(bits.OnesCount64(r.touched[off/64] & mask))
 	}
 	for i := uint64(0); i < pages; i++ {
 		j := off + i

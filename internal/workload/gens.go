@@ -24,14 +24,10 @@ import (
 // One emitted reference stands for one page's worth of fill stores.
 const initGap = 256
 
-// initRegion sweeps a region page by page with writes.
+// initRegion sweeps a region page by page with writes, as one trace.Touch
+// event.
 func initRegion(s trace.Sink, base addr.Virt, size uint64) error {
-	for off := uint64(0); off < size; off += addr.BasePageSize {
-		if err := s.Ref(trace.Ref{Addr: base + addr.Virt(off), Write: true, Gap: initGap}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return trace.Touch(s, base, size, initGap)
 }
 
 // auxRegions maps the odd-sized auxiliary allocations every real process

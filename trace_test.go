@@ -3,9 +3,16 @@ package tps
 // Trace replay is a workload like any other: a stream dumped with
 // trace.FileWriter and replayed through workload.FromTrace must enter the
 // same machine as its generator and reproduce its Result exactly, under
-// every registered scheme, with the cycle model off and on.
+// every registered scheme, with the cycle model off and on. Generators
+// deliver each warm-up sweep as one trace.Touch event, which the machine
+// runs as a page loop, while a replayed trace delivers the same sweep one
+// reference at a time, so the test also holds the bulk first touch to the
+// per-reference path. The dumped bytes themselves are pinned: a file
+// writer expands every sweep into the per-page lines it always wrote.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,6 +32,12 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	if raceEnabled {
 		names = names[:1]
 	}
+	// SHA-256 of each dump at refs and seed, as the per-reference
+	// initialization sweep wrote it.
+	dumpSums := map[string]string{
+		"gcc":  "9e4ab4da486b098dddb70dc90c67946e76b7c390cecd91b2c42bd1bbff6b22a6",
+		"gups": "2fcd8a6a5ea0f826793c2cdaf5eba0d299d093a7e511cac56f79ff3f8a3a68f0",
+	}
 	for _, name := range names {
 		w, ok := WorkloadByName(name)
 		if !ok {
@@ -32,6 +45,13 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 		}
 		path := filepath.Join(t.TempDir(), name+".trace")
 		dumpTrace(t, w, path, refs, seed)
+		dumped, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(dumped); hex.EncodeToString(sum[:]) != dumpSums[name] {
+			t.Errorf("%s: dumped trace changed: sha256 %x, want %s", name, sum, dumpSums[name])
+		}
 		replay := workload.FromTrace(path)
 		if replay.Name != name+".trace" {
 			t.Errorf("FromTrace name = %q, want the file's base name", replay.Name)
