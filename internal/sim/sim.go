@@ -469,11 +469,21 @@ func (m *machine) RefBatch(refs []trace.Ref) error {
 	if m.opts.OnRefs != nil {
 		m.opts.OnRefs(uint64(len(refs)))
 	}
+	if err := m.refsAs(0, refs); err != nil {
+		return err
+	}
+	m.sampler.advance(uint64(len(refs)))
+	return nil
+}
+
+// refsAs performs thread t's references in order, stopping at the first
+// failure: the per-thread loop behind RefBatch and each SMT quantum.
+func (m *machine) refsAs(t int, refs []trace.Ref) error {
 	if m.functional() {
 		// Functional mode does nothing per reference beyond the
 		// translation itself, so drive the MMU straight from the slice
 		// through the Result-free Access fast path.
-		p := m.procs[0]
+		p := m.procs[t]
 		for i := range refs {
 			if err := p.mmu.Access(refs[i].Addr, refs[i].Write); err != nil {
 				if _, err = p.kernel.Resolve(refs[i].Addr, refs[i].Write, mmu.Result{}, err); err != nil {
@@ -481,15 +491,13 @@ func (m *machine) RefBatch(refs []trace.Ref) error {
 				}
 			}
 		}
-		m.sampler.advance(uint64(len(refs)))
 		return nil
 	}
 	for i := range refs {
-		if err := m.refAs(0, refs[i]); err != nil {
+		if err := m.refAs(t, refs[i]); err != nil {
 			return err
 		}
 	}
-	m.sampler.advance(uint64(len(refs)))
 	return nil
 }
 
@@ -620,6 +628,16 @@ func walkRefAddr(v addr.Virt, level int) addr.Phys {
 // baseline run. This is the one path from a configuration to a simulated
 // machine: generators and trace files (workload.FromTrace) both enter here.
 func Run(w workload.Workload, opts Options) (Result, error) {
+	return run(w, opts, runSMT)
+}
+
+// smtScheduler interleaves the two SMT siblings of a run through its
+// machine, tallying their references in counter.
+type smtScheduler func(w workload.Workload, m *machine, counter *trace.CountingSink, opts Options) error
+
+// run is Run with the SMT scheduler as a parameter, so tests can hold
+// runSMT to a reference scheduler.
+func run(w workload.Workload, opts Options, smt smtScheduler) (Result, error) {
 	if _, err := opts.Setup.scheme(); err != nil {
 		return Result{}, err
 	}
@@ -635,13 +653,12 @@ func Run(w workload.Workload, opts Options) (Result, error) {
 
 	counter := &trace.CountingSink{Sink: m}
 	if opts.SMT {
-		if err := runSMT(w, m, counter, opts); err != nil {
+		if err := smt(w, m, counter, opts); err != nil {
 			return Result{}, err
 		}
 	} else {
 		// Batch the generator's per-Ref stream so the machine consumes
-		// references a slice at a time (the SMT scheduler interleaves at
-		// reference granularity and stays per-Ref).
+		// references a slice at a time.
 		b := trace.NewBatcher(counter)
 		if err := w.Run(b, opts.Refs, opts.Seed); err != nil {
 			return Result{}, err
@@ -748,49 +765,64 @@ func addCoLT(a, b colt.Stats) colt.Stats {
 	return a
 }
 
+// The SMT scheduler's constants. Each sibling hands its references over
+// in chunks of smtChunk, with up to smtDepth events queued ahead of the
+// scheduler: a few chunks of slack, so neither side waits out the other's
+// short stalls (a generator's mmap, the scheduler's fault), while a
+// sibling's buffers stay at smtBuffers × smtChunk references (48 KB). The
+// scheduler runs smtQuantum references of one sibling per turn. Only
+// smtQuantum shapes the modeled interleave.
+const (
+	smtQuantum = 8
+	smtChunk   = 512
+	smtDepth   = 4
+	// smtBuffers chunk buffers per sibling: one being filled, smtDepth
+	// queued and one being consumed, so a producer never waits for a
+	// buffer while the scheduler waits for its events.
+	smtBuffers = smtDepth + 2
+)
+
 // runSMT interleaves two copies of the workload (seeds s and s+1000)
-// through one machine in fixed quanta, modeling an SMT sibling competing
-// for TLB resources (Figs. 2 and 14). Producers run in goroutines and
-// block on unbuffered channels, so the interleave is deterministic. When a
-// run aborts (a failed reference or mmap on either sibling), the shared
-// quit channel releases any producer blocked on a send and both producers
-// are joined before returning — no goroutine outlives the run.
+// through one machine in fixed quanta of smtQuantum references, modeling
+// an SMT sibling competing for TLB resources (Figs. 2 and 14). Each
+// producer runs its generator in a goroutine and sends its events in
+// production order on its own buffered channel: chunks of references,
+// mmap requests (which wait for the scheduler's reply) and its main-phase
+// marker. The scheduler takes each sibling's events in that order and
+// serves them at the same point of the interleave whatever the producers'
+// timing, so the interleave is a pure function of the two event sequences.
+// When a run aborts (a failed reference, mmap or generator on either
+// sibling, or cancellation), the shared quit channel releases any
+// producer blocked on a send, a free buffer or an mmap reply, and both
+// producers are joined before returning — no goroutine outlives the run.
 func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts Options) error {
-	const quantum = 8
 	quit := make(chan struct{})
 	threads := [2]*smtThread{
 		startSMTThread(w, opts.Seed, opts.Refs/2, quit),
 		startSMTThread(w, opts.Seed+1000, opts.Refs/2, quit),
 	}
-	// join reaps both producers: once quit is closed (or the streams have
-	// ended) each one is guaranteed to finish, close its refs channel, and
-	// report on done. Aborted producers return errSMTAborted, which is the
-	// scheduler's doing, not a failure of their own.
-	join := func() error {
-		var first error
-		for _, t := range threads {
-			for range t.refs { // discard an in-flight send, then the close
-			}
-			if err := <-t.done; err != nil && !errors.Is(err, errSMTAborted) && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
+	// fail aborts the run: once quit is closed, each producer still
+	// running is guaranteed to finish, close its event channel and report
+	// on done (errSMTAborted, the scheduler's doing), and is reaped here.
 	fail := func(err error) error {
 		close(quit)
-		join()
+		for _, t := range threads {
+			if !t.ended {
+				for range t.events { // discard queued events, then the close
+				}
+				<-t.done
+			}
+		}
 		return err
 	}
 	live := 2
-	alive := [2]bool{true, true}
 	mainAnnounced := 0
 	var batched uint64 // refs delivered this round, for the telemetry hook
 	for live > 0 {
-		// One cancellation poll per scheduling round (2 × quantum refs):
-		// a canceled SMT run aborts through the same quit-channel path as
-		// a failed one, joining both producers before returning. The
-		// telemetry hook fires at the same granularity.
+		// One cancellation poll per scheduling round (2 × smtQuantum
+		// refs): a canceled SMT run aborts through the same quit-channel
+		// path as a failed one, joining both producers before returning.
+		// The telemetry hook fires at the same granularity.
 		if err := m.ctxErr(); err != nil {
 			return fail(err)
 		}
@@ -802,43 +834,47 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 			batched = 0
 		}
 		for i, t := range threads {
-			if !alive[i] {
-				continue
-			}
-			for q := 0; q < quantum; {
-				select {
-				case r, ok := <-t.refs:
-					if !ok {
-						alive[i] = false
-						live--
-						q = quantum
-						continue
-					}
-					counter.Refs++
-					counter.Instructions += uint64(r.Gap) + 1
-					if r.Write {
-						counter.Writes++
-					}
-					batched++
-					if err := m.refAs(i, r); err != nil {
+			for q := 0; q < smtQuantum && !t.ended; {
+				if len(t.cur) > 0 {
+					refs := t.cur[:min(smtQuantum-q, len(t.cur))]
+					t.cur = t.cur[len(refs):]
+					counter.Count(refs)
+					batched += uint64(len(refs))
+					if err := m.refsAs(i, refs); err != nil {
 						return fail(err)
 					}
-					q++
-				case req := <-t.mmaps:
-					base, err := m.mmapAs(i, req.size)
+					q += len(refs)
+					continue
+				}
+				if t.chunk != nil {
+					t.free <- t.chunk[:0] // spent: never blocks, free holds every buffer
+					t.chunk = nil
+				}
+				ev, ok := <-t.events
+				switch {
+				case !ok:
+					t.ended = true
+					live--
+					// The producer reports right after the close. A failed
+					// generator fails the run at once.
+					if err := <-t.done; err != nil {
+						return fail(err)
+					}
+				case ev.reply != nil:
+					base, err := m.mmapAs(i, ev.size)
 					if err != nil {
 						return fail(err)
 					}
-					req.reply <- base
-				case name := <-t.phases:
+					ev.reply <- base
+				case ev.main:
 					// Measurement starts once both siblings reach their
 					// main phase.
-					if name == trace.MainPhase {
-						mainAnnounced++
-						if mainAnnounced == 2 {
-							trace.AnnouncePhase(counter, name)
-						}
+					mainAnnounced++
+					if mainAnnounced == 2 {
+						trace.AnnouncePhase(counter, trace.MainPhase)
 					}
+				default:
+					t.chunk, t.cur = ev.refs, ev.refs
 				}
 			}
 		}
@@ -849,63 +885,132 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 		}
 		m.sampler.advance(batched)
 	}
-	return join()
+	return nil
 }
 
-// smtThread is one SMT sibling's event channels.
+// smtThread is one SMT sibling: the channels its producer and the
+// scheduler share, and the scheduler's cursor into its stream.
 type smtThread struct {
-	refs   chan trace.Ref
-	mmaps  chan mmapReq
-	phases chan string
+	events chan smtEvent    // the sibling's events, in production order
+	free   chan []trace.Ref // empty chunk buffers, back to the producer
 	done   chan error
 	quit   chan struct{} // closed by the scheduler to abandon the run
+
+	// Scheduler side only.
+	chunk []trace.Ref // the chunk being consumed, returned to free when spent
+	cur   []trace.Ref // its references not yet run
+	ended bool        // events closed: the sibling's stream is over
 }
 
-type mmapReq struct {
-	size  uint64
-	reply chan addr.Virt
+// smtEvent is one event of a sibling's stream: a chunk of references, an
+// mmap request, or the main-phase marker.
+type smtEvent struct {
+	refs  []trace.Ref
+	size  uint64         // mmap request: the mapping size
+	reply chan addr.Virt // mmap request: receives the mapping's base
+	main  bool           // the sibling reached its main phase
 }
 
 // errSMTAborted is returned into a producer whose run the scheduler
-// abandoned; runSMT filters it out in favor of the original failure.
+// abandoned; it never leaves runSMT, which has already failed the run
+// with the original error.
 var errSMTAborted = errors.New("sim: smt run aborted")
 
-// startSMTThread launches the workload generator as a coroutine feeding
-// the scheduler.
+// startSMTThread launches the workload generator as a producer feeding
+// the scheduler, with smtBuffers chunk buffers carved from one array.
 func startSMTThread(w workload.Workload, seed int64, refs uint64, quit chan struct{}) *smtThread {
 	t := &smtThread{
-		refs:   make(chan trace.Ref),
-		mmaps:  make(chan mmapReq),
-		phases: make(chan string),
+		events: make(chan smtEvent, smtDepth),
+		free:   make(chan []trace.Ref, smtBuffers),
 		done:   make(chan error, 1),
 		quit:   quit,
 	}
+	pool := make([]trace.Ref, smtBuffers*smtChunk)
+	for i := 1; i < smtBuffers; i++ {
+		t.free <- pool[i*smtChunk : i*smtChunk : (i+1)*smtChunk]
+	}
 	go func() {
-		err := w.Run(&smtSink{t: t}, refs, seed)
-		close(t.refs)
+		s := &smtSink{t: t, buf: pool[:0:smtChunk]}
+		err := w.Run(s, refs, seed)
+		// References buffered before the generator returned still run,
+		// as they would have one by one.
+		if ferr := s.flush(); err == nil {
+			err = ferr
+		}
+		close(t.events)
 		t.done <- err
 	}()
 	return t
 }
 
 // smtSink adapts one SMT thread's workload callbacks onto the scheduler's
-// channels. Every send pairs with the quit channel so an abandoned
-// producer unblocks instead of leaking.
+// event channel. Every blocking operation pairs with the quit channel so
+// an abandoned producer unblocks instead of leaking.
 type smtSink struct {
-	t *smtThread
+	t   *smtThread
+	buf []trace.Ref // references not yet sent
 }
 
-func (s *smtSink) Mmap(size uint64) (addr.Virt, error) {
-	// The reply channel is buffered so the scheduler's response can never
-	// block, even if this producer has already been quit.
-	req := mmapReq{size: size, reply: make(chan addr.Virt, 1)}
+// Ref implements trace.Sink: buffer the reference, sending the buffer as
+// one event when it is full.
+func (s *smtSink) Ref(r trace.Ref) error {
+	s.buf = append(s.buf, r)
+	if len(s.buf) == smtChunk {
+		return s.flush()
+	}
+	return nil
+}
+
+// flush sends the buffered references as one event and takes an empty
+// buffer from the free list.
+func (s *smtSink) flush() error {
+	if len(s.buf) == 0 {
+		return nil
+	}
+	err := s.send(smtEvent{refs: s.buf})
+	if err == nil {
+		select {
+		case s.buf = <-s.t.free:
+			return nil
+		case <-s.t.quit:
+			err = errSMTAborted
+		}
+	}
+	s.buf = nil // the scheduler may hold it
+	return err
+}
+
+// send queues one event unless the scheduler has abandoned the run.
+func (s *smtSink) send(ev smtEvent) error {
+	// Quit first: with room in the channel, a select would pick the send
+	// at random even after quit.
 	select {
-	case s.t.mmaps <- req:
 	case <-s.t.quit:
-		return 0, errSMTAborted
+		return errSMTAborted
+	default:
 	}
 	select {
-	case base := <-req.reply:
+	case s.t.events <- ev:
+		return nil
+	case <-s.t.quit:
+		return errSMTAborted
+	}
+}
+
+// Mmap implements trace.Sink: flush the buffered references, then wait
+// for the scheduler to serve the request at this point of the stream.
+func (s *smtSink) Mmap(size uint64) (addr.Virt, error) {
+	if err := s.flush(); err != nil {
+		return 0, err
+	}
+	// The reply channel is buffered so the scheduler's response can never
+	// block, even if this producer has already been quit.
+	ev := smtEvent{size: size, reply: make(chan addr.Virt, 1)}
+	if err := s.send(ev); err != nil {
+		return 0, err
+	}
+	select {
+	case base := <-ev.reply:
 		return base, nil
 	case <-s.t.quit:
 		return 0, errSMTAborted
@@ -916,26 +1021,14 @@ func (s *smtSink) Munmap(base addr.Virt) error {
 	return fmt.Errorf("sim: munmap unsupported under SMT")
 }
 
-func (s *smtSink) Ref(r trace.Ref) error {
-	// Fast path: once quit closes, stop immediately rather than racing the
-	// scheduler's drain loop one send at a time.
-	select {
-	case <-s.t.quit:
-		return errSMTAborted
-	default:
-	}
-	select {
-	case s.t.refs <- r:
-		return nil
-	case <-s.t.quit:
-		return errSMTAborted
-	}
-}
-
-// Phase implements trace.PhaseSink.
+// Phase implements trace.PhaseSink: the main-phase marker follows the
+// references buffered before it. The scheduler acts on no other phase.
 func (s *smtSink) Phase(name string) {
-	select {
-	case s.t.phases <- name:
-	case <-s.t.quit:
+	if name != trace.MainPhase {
+		return
+	}
+	// An aborted run fails the generator's next reference or mmap.
+	if s.flush() == nil {
+		_ = s.send(smtEvent{main: true})
 	}
 }

@@ -312,7 +312,7 @@ func TestSMTErrorReturnsError(t *testing.T) {
 
 // TestSMTErrorDoesNotLeakGoroutines is the regression test for the
 // producer leak: before the quit channel, an error abort left both
-// startSMTThread goroutines blocked forever on their unbuffered sends.
+// startSMTThread goroutines blocked forever on their sends.
 func TestSMTErrorDoesNotLeakGoroutines(t *testing.T) {
 	w := miniRandom(64 * miniMB)
 	runtime.GC()

@@ -216,17 +216,13 @@ type CountingSink struct {
 
 // Ref implements Sink.
 func (c *CountingSink) Ref(r Ref) error {
-	c.Refs++
-	c.Instructions += uint64(r.Gap) + 1
-	if r.Write {
-		c.Writes++
-	}
+	c.Count([]Ref{r})
 	return c.Sink.Ref(r)
 }
 
-// RefBatch implements BatchSink: tally the batch, then forward it whole so
-// a batching producer keeps batched delivery through the wrapped sink.
-func (c *CountingSink) RefBatch(refs []Ref) error {
+// Count tallies refs without delivering them: for a harness that drives
+// the wrapped sink itself and keeps the counter as its record.
+func (c *CountingSink) Count(refs []Ref) {
 	for i := range refs {
 		c.Refs++
 		c.Instructions += uint64(refs[i].Gap) + 1
@@ -234,6 +230,12 @@ func (c *CountingSink) RefBatch(refs []Ref) error {
 			c.Writes++
 		}
 	}
+}
+
+// RefBatch implements BatchSink: tally the batch, then forward it whole so
+// a batching producer keeps batched delivery through the wrapped sink.
+func (c *CountingSink) RefBatch(refs []Ref) error {
+	c.Count(refs)
 	return EmitBatch(c.Sink, refs)
 }
 
