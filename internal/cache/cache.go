@@ -4,40 +4,52 @@
 // references are priced separately by the MMU/CPU layers.
 package cache
 
-import "tps/internal/addr"
+import (
+	"math/bits"
+
+	"tps/internal/addr"
+)
 
 // LineShift is log2 of the 64-byte cache line.
 const LineShift = 6
 
 // Cache is one set-associative, true-LRU, physically indexed cache level.
+//
+// The tag store is one flat array: set s is the row
+// tags[s*ways : (s+1)*ways], kept in recency order with the most recently
+// used way first and the LRU way last. A word holds tag+1, so 0 is an
+// empty way and never matches a lookup. A hit rotates the hit word to the
+// front; a miss shifts the row down by one, dropping the last word, and
+// writes the new tag at the front.
+//
+// A Cache never invalidates a line, so the empty words of a row are always
+// a suffix. That is what makes the miss path true LRU: while a set has an
+// empty way, the word the shift drops is empty, never a valid line.
 type Cache struct {
-	name     string
-	sets     int
 	ways     int
-	tick     uint64
-	data     [][]line
+	setMask  uint64
+	setShift uint
+	tags     []uint64
 	accesses uint64
 	misses   uint64
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-}
-
 // New builds a cache of the given total size and associativity with
 // 64-byte lines. size must give a power-of-two set count.
-func New(name string, sizeBytes, ways int) *Cache {
+func New(sizeBytes, ways int) *Cache {
+	if ways <= 0 {
+		panic("cache: associativity must be positive")
+	}
 	sets := sizeBytes / (ways << LineShift)
 	if sets <= 0 || !addr.IsPow2(uint64(sets)) {
 		panic("cache: set count must be a positive power of two")
 	}
-	c := &Cache{name: name, sets: sets, ways: ways, data: make([][]line, sets)}
-	for i := range c.data {
-		c.data[i] = make([]line, ways)
+	return &Cache{
+		ways:     ways,
+		setMask:  uint64(sets - 1),
+		setShift: uint(bits.TrailingZeros64(uint64(sets))),
+		tags:     make([]uint64, sets*ways),
 	}
-	return c
 }
 
 // Access looks up (and on miss, fills) the line containing p. It reports
@@ -45,26 +57,23 @@ func New(name string, sizeBytes, ways int) *Cache {
 func (c *Cache) Access(p addr.Phys) bool {
 	c.accesses++
 	lineAddr := uint64(p) >> LineShift
-	set := c.data[lineAddr&uint64(c.sets-1)]
-	tag := lineAddr / uint64(c.sets)
-	c.tick++
-	var victim *line
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			w.lru = c.tick
-			return true
-		}
-		if victim == nil || !w.valid || (victim.valid && w.lru < victim.lru) {
-			if victim == nil || victim.valid {
-				victim = w
+	base := int(lineAddr&c.setMask) * c.ways
+	row := c.tags[base : base+c.ways : base+c.ways]
+	want := lineAddr>>c.setShift + 1
+	for i, w := range row {
+		if w == want {
+			// Hits sit near the front, and so short a move is cheaper
+			// as a loop than as a memmove call.
+			for ; i > 0; i-- {
+				row[i] = row[i-1]
 			}
+			row[0] = want
+			return true
 		}
 	}
 	c.misses++
-	victim.tag = tag
-	victim.valid = true
-	victim.lru = c.tick
+	copy(row[1:], row)
+	row[0] = want
 	return false
 }
 
@@ -98,8 +107,8 @@ type Hierarchy struct {
 // NewHierarchy builds the Table I hierarchy.
 func NewHierarchy() *Hierarchy {
 	return &Hierarchy{
-		L1D: New("L1D", 32<<10, 8),
-		LLC: New("LLC", 2<<20, 16),
+		L1D: New(32<<10, 8),
+		LLC: New(2<<20, 16),
 		Lat: DefaultLatencies(),
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHitAfterFill(t *testing.T) {
-	c := New("L1D", 32<<10, 8)
+	c := New(32<<10, 8)
 	if c.Access(0x1000) {
 		t.Fatal("cold access hit")
 	}
@@ -26,7 +26,7 @@ func TestHitAfterFill(t *testing.T) {
 
 func TestLRUWithinSet(t *testing.T) {
 	// 2-way, tiny cache: 2 sets of 2 ways (256 B).
-	c := New("t", 256, 2)
+	c := New(256, 2)
 	setStride := addr.Phys(2 << LineShift) // same set every 2 lines
 	a0 := addr.Phys(0)
 	a1 := a0 + setStride
@@ -44,7 +44,7 @@ func TestLRUWithinSet(t *testing.T) {
 }
 
 func TestMissRate(t *testing.T) {
-	c := New("t", 4<<10, 4)
+	c := New(4<<10, 4)
 	for i := 0; i < 64; i++ {
 		c.Access(addr.Phys(i) << LineShift)
 	}
@@ -89,10 +89,24 @@ func TestWalkRefLatency(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-pow2 sets")
-		}
-	}()
-	New("bad", 3<<10, 5)
+	cases := []struct {
+		name            string
+		sizeBytes, ways int
+		want            string
+	}{
+		{"non-pow2-sets", 3 << 10, 5, "cache: set count must be a positive power of two"},
+		{"zero-ways", 32 << 10, 0, "cache: associativity must be positive"},
+		{"negative-ways", 32 << 10, -8, "cache: associativity must be positive"},
+		{"too-small", 32, 1, "cache: set count must be a positive power of two"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("New(%d, %d) panicked with %v, want %q", tc.sizeBytes, tc.ways, got, tc.want)
+				}
+			}()
+			New(tc.sizeBytes, tc.ways)
+		})
+	}
 }

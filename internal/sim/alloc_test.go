@@ -61,7 +61,9 @@ func TestRefBatchSteadyStateAllocs(t *testing.T) {
 
 // TestRefBatchSteadyStateAllocsVariants extends the zero-alloc contract to
 // the translation-cache variants: the cache disabled (the full modeled
-// hierarchy on every reference) and a small cache (frequent evictions).
+// hierarchy on every reference) and a small cache (frequent evictions);
+// and to the cycle model, which prices every reference through the data
+// caches and the out-of-order model, natively and with nested walks.
 func TestRefBatchSteadyStateAllocsVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("faults in a 64MB footprint per variant")
@@ -72,6 +74,8 @@ func TestRefBatchSteadyStateAllocsVariants(t *testing.T) {
 	}{
 		{"cache-disabled", Options{Setup: SetupTPS, TransCache: -1}},
 		{"cache-small", Options{Setup: SetupTPS, TransCache: 256}},
+		{"cycle-model", Options{Setup: SetupTHP, CycleModel: true}},
+		{"virtualized+cycle-model", Options{Setup: SetupTPS, Virtualized: true, CycleModel: true}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
