@@ -11,12 +11,14 @@ package sim
 import (
 	"sync/atomic"
 	"testing"
+
+	"tps/internal/trace"
 )
 
 func allocsPerBatch(t *testing.T, opts Options) float64 {
 	t.Helper()
 	m, pat := benchMachine(t, opts)
-	const chunk = 512
+	const chunk = trace.BatchSize
 	off := 0
 	return testing.AllocsPerRun(200, func() {
 		end := off + chunk

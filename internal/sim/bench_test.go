@@ -35,7 +35,7 @@ func benchMachine(tb testing.TB, opts Options) (*machine, []trace.Ref) {
 // reference as sim.Run pays it.
 func benchRefLoop(b *testing.B, opts Options) {
 	m, pat := benchMachine(b, opts)
-	const chunk = 512
+	const chunk = trace.BatchSize
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; {

@@ -88,11 +88,11 @@ func NewSteadyState(opts Options) (*SteadyState, error) {
 	return &SteadyState{m: m, pat: pat}, nil
 }
 
-// Step delivers one 512-reference batch through the production RefBatch
+// Step delivers one Batcher-sized batch through the production RefBatch
 // path, wrapping around the pattern. It is allocation-free in steady state
 // for every conforming scheme, at any cache setting.
 func (s *SteadyState) Step() error {
-	const chunk = 512
+	const chunk = trace.BatchSize
 	end := s.off + chunk
 	if end > len(s.pat) {
 		s.off, end = 0, chunk

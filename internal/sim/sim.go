@@ -501,19 +501,15 @@ func (m *machine) refsAs(t int, refs []trace.Ref) error {
 	return nil
 }
 
-// touchChunk is the number of pages machine.Touch handles between two
-// cancellation polls: one reference batch, so cancellation, telemetry and
-// sampling keep RefBatch's granularity.
-const touchChunk = 512
-
-// Touch implements trace.TouchSink (thread 0), one chunk of touchChunk
-// pages per cancellation poll, OnRefs call and sampler advance. In
+// Touch implements trace.TouchSink (thread 0), one chunk of
+// trace.BatchSize pages per cancellation poll, OnRefs call and sampler
+// advance, so they keep RefBatch's granularity. In
 // functional mode the kernel runs each chunk as a page loop
 // (vmm.Kernel.TouchPages); the compaction daemon and the cycle model act
 // per reference, so those runs take the chunk one reference at a time.
 func (m *machine) Touch(base addr.Virt, size uint64, gap uint32) error {
 	for pages := trace.TouchRefs(size); pages > 0; {
-		n := min(pages, touchChunk)
+		n := min(pages, trace.BatchSize)
 		if err := m.ctxErr(); err != nil {
 			return err
 		}
@@ -765,66 +761,37 @@ func addCoLT(a, b colt.Stats) colt.Stats {
 	return a
 }
 
-// The SMT scheduler's constants. Each sibling hands its references over
-// in chunks of smtChunk, with up to smtDepth events queued ahead of the
-// scheduler: a few chunks of slack, so neither side waits out the other's
-// short stalls (a generator's mmap, the scheduler's fault), while a
-// sibling's buffers stay at smtBuffers × smtChunk references (48 KB). The
-// scheduler runs smtQuantum references of one sibling per turn. Only
-// smtQuantum shapes the modeled interleave.
-const (
-	smtQuantum = 8
-	smtChunk   = 512
-	smtDepth   = 4
-	// smtBuffers chunk buffers per sibling: one being filled, smtDepth
-	// queued and one being consumed, so a producer never waits for a
-	// buffer while the scheduler waits for its events.
-	smtBuffers = smtDepth + 2
-)
+// smtQuantum is the SMT scheduler's turn: it runs this many references of
+// one sibling, then the other's. It alone shapes the modeled interleave.
+const smtQuantum = 8
 
 // runSMT interleaves two copies of the workload (seeds s and s+1000)
 // through one machine in fixed quanta of smtQuantum references, modeling
 // an SMT sibling competing for TLB resources (Figs. 2 and 14). Each
-// producer runs its generator in a goroutine and sends its events in
-// production order on its own buffered channel: chunks of references,
-// mmap requests (which wait for the scheduler's reply) and its main-phase
-// marker. The scheduler takes each sibling's events in that order and
-// serves them at the same point of the interleave whatever the producers'
-// timing, so the interleave is a pure function of the two event sequences.
-// When a run aborts (a failed reference, mmap or generator on either
-// sibling, or cancellation), the shared quit channel releases any
-// producer blocked on a send, a free buffer or an mmap reply, and both
-// producers are joined before returning — no goroutine outlives the run.
+// sibling's generator runs in a producer goroutine behind a trace.Batcher
+// and hands over one event at a time: a batch of references, an mmap
+// request or its main-phase marker. It then waits until the scheduler
+// pulls its next event, so a producer never runs alongside the scheduler,
+// the Batcher reuses its buffer only once the scheduler has run all of it,
+// and the interleave is a pure function of the two event sequences.
+// However the run ends, the deferred stops end both producers before
+// runSMT returns.
 func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts Options) error {
-	quit := make(chan struct{})
 	threads := [2]*smtThread{
-		startSMTThread(w, opts.Seed, opts.Refs/2, quit),
-		startSMTThread(w, opts.Seed+1000, opts.Refs/2, quit),
+		startSMTThread(w, opts.Seed, opts.Refs/2),
+		startSMTThread(w, opts.Seed+1000, opts.Refs/2),
 	}
-	// fail aborts the run: once quit is closed, each producer still
-	// running is guaranteed to finish, close its event channel and report
-	// on done (errSMTAborted, the scheduler's doing), and is reaped here.
-	fail := func(err error) error {
-		close(quit)
-		for _, t := range threads {
-			if !t.ended {
-				for range t.events { // discard queued events, then the close
-				}
-				<-t.done
-			}
-		}
-		return err
+	for _, t := range threads {
+		defer t.stop()
 	}
 	live := 2
 	mainAnnounced := 0
 	var batched uint64 // refs delivered this round, for the telemetry hook
 	for live > 0 {
 		// One cancellation poll per scheduling round (2 × smtQuantum
-		// refs): a canceled SMT run aborts through the same quit-channel
-		// path as a failed one, joining both producers before returning.
-		// The telemetry hook fires at the same granularity.
+		// refs). The telemetry hook fires at the same granularity.
 		if err := m.ctxErr(); err != nil {
-			return fail(err)
+			return err
 		}
 		if batched > 0 {
 			if opts.OnRefs != nil {
@@ -841,31 +808,19 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 					counter.Count(refs)
 					batched += uint64(len(refs))
 					if err := m.refsAs(i, refs); err != nil {
-						return fail(err)
+						return err
 					}
 					q += len(refs)
 					continue
 				}
-				if t.chunk != nil {
-					t.free <- t.chunk[:0] // spent: never blocks, free holds every buffer
-					t.chunk = nil
-				}
-				ev, ok := <-t.events
+				ev, ok := t.next()
 				switch {
 				case !ok:
-					t.ended = true
 					live--
-					// The producer reports right after the close. A failed
-					// generator fails the run at once.
-					if err := <-t.done; err != nil {
-						return fail(err)
+					// A failed generator fails the run at once.
+					if t.err != nil {
+						return t.err
 					}
-				case ev.reply != nil:
-					base, err := m.mmapAs(i, ev.size)
-					if err != nil {
-						return fail(err)
-					}
-					ev.reply <- base
 				case ev.main:
 					// Measurement starts once both siblings reach their
 					// main phase.
@@ -873,8 +828,14 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 					if mainAnnounced == 2 {
 						trace.AnnouncePhase(counter, trace.MainPhase)
 					}
+				case ev.refs != nil:
+					t.cur = ev.refs
 				default:
-					t.chunk, t.cur = ev.refs, ev.refs
+					base, err := m.mmapAs(i, ev.size)
+					if err != nil {
+						return err
+					}
+					t.base = base
 				}
 			}
 		}
@@ -889,146 +850,124 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 }
 
 // smtThread is one SMT sibling: the channels its producer and the
-// scheduler share, and the scheduler's cursor into its stream.
+// scheduler share, the fields each hands the other, and the scheduler's
+// cursor into its stream.
 type smtThread struct {
-	events chan smtEvent    // the sibling's events, in production order
-	free   chan []trace.Ref // empty chunk buffers, back to the producer
-	done   chan error
-	quit   chan struct{} // closed by the scheduler to abandon the run
+	events chan smtEvent // the producer's next event
+	resume chan bool     // true runs the producer to its next event, false stops it
+	err    error         // the generator's error, written before events closes
+	base   addr.Virt     // the last mmap's base, written before the producer resumes
 
 	// Scheduler side only.
-	chunk []trace.Ref // the chunk being consumed, returned to free when spent
-	cur   []trace.Ref // its references not yet run
-	ended bool        // events closed: the sibling's stream is over
+	cur   []trace.Ref // the current batch's references not yet run
+	ended bool        // events closed: the producer has returned
 }
 
-// smtEvent is one event of a sibling's stream: a chunk of references, an
-// mmap request, or the main-phase marker.
+// smtEvent is one event of a sibling's stream: a batch of references, the
+// main-phase marker, or else an mmap request.
 type smtEvent struct {
-	refs  []trace.Ref
-	size  uint64         // mmap request: the mapping size
-	reply chan addr.Virt // mmap request: receives the mapping's base
-	main  bool           // the sibling reached its main phase
+	refs []trace.Ref
+	main bool
+	size uint64 // mmap request: the mapping size
 }
 
-// errSMTAborted is returned into a producer whose run the scheduler
-// abandoned; it never leaves runSMT, which has already failed the run
-// with the original error.
+// errSMTAborted is returned into a producer that the scheduler stopped; it
+// never leaves runSMT, which is already returning the run's own error.
 var errSMTAborted = errors.New("sim: smt run aborted")
 
-// startSMTThread launches the workload generator as a producer feeding
-// the scheduler, with smtBuffers chunk buffers carved from one array.
-func startSMTThread(w workload.Workload, seed int64, refs uint64, quit chan struct{}) *smtThread {
-	t := &smtThread{
-		events: make(chan smtEvent, smtDepth),
-		free:   make(chan []trace.Ref, smtBuffers),
-		done:   make(chan error, 1),
-		quit:   quit,
-	}
-	pool := make([]trace.Ref, smtBuffers*smtChunk)
-	for i := 1; i < smtBuffers; i++ {
-		t.free <- pool[i*smtChunk : i*smtChunk : (i+1)*smtChunk]
-	}
+// startSMTThread launches the workload generator as a producer. It waits
+// for the scheduler's first pull before it runs.
+func startSMTThread(w workload.Workload, seed int64, refs uint64) *smtThread {
+	t := &smtThread{events: make(chan smtEvent), resume: make(chan bool)}
 	go func() {
-		s := &smtSink{t: t, buf: pool[:0:smtChunk]}
-		err := w.Run(s, refs, seed)
-		// References buffered before the generator returned still run,
-		// as they would have one by one.
-		if ferr := s.flush(); err == nil {
-			err = ferr
+		defer close(t.events)
+		if !<-t.resume {
+			return
 		}
-		close(t.events)
-		t.done <- err
+		b := trace.NewBatcher(&smtSink{t: t})
+		err := w.Run(b, refs, seed)
+		if err == nil {
+			// References batched before the generator returned still
+			// run, as they would have one by one.
+			err = b.Flush()
+		}
+		t.err = err
 	}()
 	return t
 }
 
-// smtSink adapts one SMT thread's workload callbacks onto the scheduler's
-// event channel. Every blocking operation pairs with the quit channel so
-// an abandoned producer unblocks instead of leaking.
-type smtSink struct {
-	t   *smtThread
-	buf []trace.Ref // references not yet sent
+// next runs the producer to its next event and takes it; ok is false once
+// the producer has returned.
+func (t *smtThread) next() (ev smtEvent, ok bool) {
+	t.resume <- true
+	ev, ok = <-t.events
+	t.ended = !ok
+	return ev, ok
 }
 
-// Ref implements trace.Sink: buffer the reference, sending the buffer as
-// one event when it is full.
-func (s *smtSink) Ref(r trace.Ref) error {
-	s.buf = append(s.buf, r)
-	if len(s.buf) == smtChunk {
-		return s.flush()
+// stop ends a producer that has not returned: it answers false and drains
+// events until the producer closes it.
+func (t *smtThread) stop() {
+	if t.ended {
+		return
+	}
+	t.resume <- false
+	for range t.events {
+	}
+}
+
+// smtSink hands one SMT sibling's events to the scheduler, one at a time.
+// A trace.Batcher in front of it batches the generator's references.
+type smtSink struct {
+	t       *smtThread
+	stopped bool // the scheduler answered false: every later event fails
+}
+
+// yield hands ev to the scheduler and waits until it pulls the next one.
+func (s *smtSink) yield(ev smtEvent) error {
+	if s.stopped {
+		return errSMTAborted
+	}
+	s.t.events <- ev
+	if !<-s.t.resume {
+		s.stopped = true
+		return errSMTAborted
 	}
 	return nil
 }
 
-// flush sends the buffered references as one event and takes an empty
-// buffer from the free list.
-func (s *smtSink) flush() error {
-	if len(s.buf) == 0 {
+// RefBatch implements trace.BatchSink. The scheduler has run every
+// reference of the batch by the time it returns.
+func (s *smtSink) RefBatch(refs []trace.Ref) error {
+	if len(refs) == 0 {
 		return nil
 	}
-	err := s.send(smtEvent{refs: s.buf})
-	if err == nil {
-		select {
-		case s.buf = <-s.t.free:
-			return nil
-		case <-s.t.quit:
-			err = errSMTAborted
-		}
-	}
-	s.buf = nil // the scheduler may hold it
-	return err
+	return s.yield(smtEvent{refs: refs})
 }
 
-// send queues one event unless the scheduler has abandoned the run.
-func (s *smtSink) send(ev smtEvent) error {
-	// Quit first: with room in the channel, a select would pick the send
-	// at random even after quit.
-	select {
-	case <-s.t.quit:
-		return errSMTAborted
-	default:
-	}
-	select {
-	case s.t.events <- ev:
-		return nil
-	case <-s.t.quit:
-		return errSMTAborted
-	}
+// Ref implements trace.Sink as a batch of one.
+func (s *smtSink) Ref(r trace.Ref) error {
+	return s.RefBatch([]trace.Ref{r})
 }
 
-// Mmap implements trace.Sink: flush the buffered references, then wait
-// for the scheduler to serve the request at this point of the stream.
+// Mmap implements trace.Sink: the scheduler serves the request at this
+// point of the stream.
 func (s *smtSink) Mmap(size uint64) (addr.Virt, error) {
-	if err := s.flush(); err != nil {
+	if err := s.yield(smtEvent{size: size}); err != nil {
 		return 0, err
 	}
-	// The reply channel is buffered so the scheduler's response can never
-	// block, even if this producer has already been quit.
-	ev := smtEvent{size: size, reply: make(chan addr.Virt, 1)}
-	if err := s.send(ev); err != nil {
-		return 0, err
-	}
-	select {
-	case base := <-ev.reply:
-		return base, nil
-	case <-s.t.quit:
-		return 0, errSMTAborted
-	}
+	return s.t.base, nil
 }
 
 func (s *smtSink) Munmap(base addr.Virt) error {
 	return fmt.Errorf("sim: munmap unsupported under SMT")
 }
 
-// Phase implements trace.PhaseSink: the main-phase marker follows the
-// references buffered before it. The scheduler acts on no other phase.
+// Phase implements trace.PhaseSink. The scheduler acts on no phase but
+// the main one.
 func (s *smtSink) Phase(name string) {
-	if name != trace.MainPhase {
-		return
-	}
-	// An aborted run fails the generator's next reference or mmap.
-	if s.flush() == nil {
-		_ = s.send(smtEvent{main: true})
+	if name == trace.MainPhase {
+		// A stopped producer fails its generator's next reference or mmap.
+		_ = s.yield(smtEvent{main: true})
 	}
 }

@@ -310,9 +310,8 @@ func TestSMTErrorReturnsError(t *testing.T) {
 	}
 }
 
-// TestSMTErrorDoesNotLeakGoroutines is the regression test for the
-// producer leak: before the quit channel, an error abort left both
-// startSMTThread goroutines blocked forever on their sends.
+// TestSMTErrorDoesNotLeakGoroutines: a run that fails must stop both
+// startSMTThread producers, not leave them blocked forever on a send.
 func TestSMTErrorDoesNotLeakGoroutines(t *testing.T) {
 	w := miniRandom(64 * miniMB)
 	runtime.GC()

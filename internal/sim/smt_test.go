@@ -1,9 +1,9 @@
 package sim
 
-// runSMT hands each sibling's references to the scheduler in chunks and
-// runs a quantum of them as one sub-slice. The tests here hold it to
-// runSMTReference, the scheduler it replaced (one unbuffered channel send
-// per reference), and check its teardown and its allocations.
+// runSMT takes each sibling's references from its trace.Batcher one batch
+// at a time and runs a quantum of them as one sub-slice. The tests here
+// hold it to runSMTReference, the scheduler it replaced (one unbuffered
+// channel send per reference), and check its teardown and its allocations.
 
 import (
 	"context"
@@ -186,12 +186,21 @@ func (s *refSMTSink) Phase(name string) {
 	}
 }
 
+// script shapes a scripted workload's stream. Indexes count the
+// references emitted so far.
+type script struct {
+	mmaps []uint64 // map a new region before each of these indexes
+	phase uint64   // announce the main phase before this index
+	// touch, if nonzero, maps a region of that many bytes before index
+	// touchAt and sweeps it with trace.Touch: one write per page.
+	touch, touchAt uint64
+}
+
 // scripted is an SMT edge-case workload. Each sibling maps one region,
 // then emits refs+seed%7 references (so the two siblings' streams end at
-// different points), mapping a new region before each reference index in
-// mmaps and announcing the main phase before index phase. A warm-up
-// phase marker (which the scheduler ignores) precedes the main one.
-func scripted(name string, mmaps []uint64, phase uint64) workload.Workload {
+// different points), at the points sc names. A warm-up phase marker
+// (which the scheduler ignores) precedes the main one.
+func scripted(name string, sc script) workload.Workload {
 	return workload.Workload{
 		Name: name,
 		Run: func(s trace.Sink, refs uint64, seed int64) error {
@@ -204,7 +213,7 @@ func scripted(name string, mmaps []uint64, phase uint64) workload.Workload {
 			live := []addr.Virt{base}
 			n := refs + uint64(seed%7)
 			for i := uint64(0); i <= n; i++ {
-				for _, at := range mmaps {
+				for _, at := range sc.mmaps {
 					if at == i {
 						base, err := s.Mmap(region)
 						if err != nil {
@@ -213,7 +222,16 @@ func scripted(name string, mmaps []uint64, phase uint64) workload.Workload {
 						live = append(live, base)
 					}
 				}
-				if i == phase {
+				if sc.touch > 0 && i == sc.touchAt {
+					base, err := s.Mmap(sc.touch)
+					if err != nil {
+						return err
+					}
+					if err := trace.Touch(s, base, sc.touch, 16); err != nil {
+						return err
+					}
+				}
+				if i == sc.phase {
 					trace.AnnouncePhase(s, "warmup")
 					trace.AnnouncePhase(s, trace.MainPhase)
 				}
@@ -261,8 +279,8 @@ func runSMTWith(w workload.Workload, opts Options, smt smtScheduler) (smtRun, er
 // Results, the OnRefs call sizes and the series points must be equal.
 // The workloads are gcc, xz, touch-churn (which maps regions in its main
 // phase) and scripted streams that put an mmap or the main phase on a
-// chunk boundary or inside a quantum, end inside a quantum, or stay below
-// one chunk.
+// chunk boundary or inside a quantum, end inside a quantum, stay below
+// one chunk, or sweep a region with trace.Touch from inside a quantum.
 func TestSMTSchedulerMatchesReference(t *testing.T) {
 	variants := []struct {
 		name string
@@ -279,16 +297,22 @@ func TestSMTSchedulerMatchesReference(t *testing.T) {
 		w    workload.Workload
 		refs uint64
 	}
+	const chunk = trace.BatchSize
 	cells := []cell{
 		{touchChurn(), 20001},
-		{scripted("mmap-and-phase-on-chunk-boundary", []uint64{smtChunk, 2 * smtChunk}, smtChunk), 3 * smtChunk},
+		{scripted("mmap-and-phase-on-chunk-boundary", script{mmaps: []uint64{chunk, 2 * chunk}, phase: chunk}), 3 * chunk},
 		// The flush at mmap 3 moves the chunk boundaries to 3+512k: the
 		// phase lands on one inside a quantum, the second mmap inside a
 		// chunk and a quantum, the third on a boundary inside a quantum.
-		{scripted("mmap-and-phase-mid-quantum", []uint64{3, smtChunk + 5, 2*smtChunk + 5}, smtChunk+3), 3*smtChunk + 5},
-		{scripted("mmap-then-phase-at-start", []uint64{0, 1}, 0), 2 * 1001},
-		{scripted("below-one-chunk", []uint64{7}, 100), 2 * 150},
-		{scripted("empty", nil, 0), 0},
+		{scripted("mmap-and-phase-mid-quantum", script{mmaps: []uint64{3, chunk + 5, 2*chunk + 5}, phase: chunk + 3}), 3*chunk + 5},
+		{scripted("mmap-then-phase-at-start", script{mmaps: []uint64{0, 1}}), 2 * 1001},
+		{scripted("below-one-chunk", script{mmaps: []uint64{7}, phase: 100}), 2 * 150},
+		{scripted("empty", script{}), 0},
+		// Warm-up sweeps reach the scheduler as Batcher chunks. These
+		// start inside a quantum and end off a chunk boundary, the last
+		// page partial in the second.
+		{scripted("touch-mid-quantum", script{touch: 700 * addr.BasePageSize, touchAt: 3, phase: 5}), 2 * chunk},
+		{scripted("touch-mid-chunk-partial-page", script{touch: 2*chunk*addr.BasePageSize + 100, touchAt: chunk + 5, mmaps: []uint64{chunk + 9}, phase: chunk + 11}), 3 * chunk},
 	}
 	if !raceEnabled {
 		for _, name := range []string{"gcc", "xz"} {
@@ -370,18 +394,14 @@ var endless = workload.Workload{Name: "endless", Run: func(s trace.Sink, _ uint6
 	}
 }}
 
-// TestSMTCancelWhileProducersRunAhead cancels an SMT run from its first
-// OnRefs call, once both producers have filled every chunk buffer and
-// wait on a full event channel. Run must return context.Canceled, no
-// producer may run further ahead than its buffers allow, and no goroutine
-// may outlive the run.
-func TestSMTCancelWhileProducersRunAhead(t *testing.T) {
+// TestSMTCancelHoldsProducersToOneChunk cancels an SMT run from its first
+// OnRefs call. Run must return context.Canceled, each producer must have
+// emitted exactly one chunk (the one the scheduler is running, for which
+// the producer waits), and no goroutine may outlive the run.
+func TestSMTCancelHoldsProducersToOneChunk(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
-	// A producer fills its smtBuffers buffers; the scheduler has run one
-	// quantum of the first, so the last buffer's final reference blocks
-	// on the full channel.
-	const ahead = smtBuffers * smtChunk
+	const ahead = trace.BatchSize
 	for i := 0; i < 5; i++ {
 		emitted := map[int64]*atomic.Uint64{42: {}, 1042: {}}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -390,10 +410,6 @@ func TestSMTCancelWhileProducersRunAhead(t *testing.T) {
 			Setup: SetupTPS, SMT: true, Seed: 42, Refs: 1 << 30, Context: ctx,
 			OnRefs: func(uint64) {
 				calls++
-				deadline := time.Now().Add(10 * time.Second)
-				for (emitted[42].Load() < ahead || emitted[1042].Load() < ahead) && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
 				cancel()
 			},
 		})
@@ -406,7 +422,7 @@ func TestSMTCancelWhileProducersRunAhead(t *testing.T) {
 		}
 		for seed, n := range emitted {
 			if got := n.Load(); got != ahead {
-				t.Errorf("sibling seed %d emitted %d references, want exactly %d (every buffer full)", seed, got, ahead)
+				t.Errorf("sibling seed %d emitted %d references, want exactly %d (one chunk)", seed, got, ahead)
 			}
 		}
 	}
@@ -432,7 +448,7 @@ func TestSMTGeneratorErrorSurfaces(t *testing.T) {
 		}
 		n := refs
 		if seed == 1042 {
-			n = 3*smtChunk + 5
+			n = 3*trace.BatchSize + 5
 		}
 		for i := uint64(0); i < n; i++ {
 			if err := s.Ref(trace.Ref{Addr: base + addr.Virt(i*64%region)}); err != nil {
@@ -449,13 +465,13 @@ func TestSMTGeneratorErrorSurfaces(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("Run returned %v, want the generator's error", err)
 	}
-	if reported > 8*smtChunk {
+	if reported > 8*trace.BatchSize {
 		t.Errorf("the run went on for %d references after its generator failed", reported)
 	}
 }
 
-// TestSMTAllocsIndependentOfRefs pins the chunk-buffer recycling: a run
-// ten times longer allocates at most a few more objects.
+// TestSMTAllocsIndependentOfRefs pins the Batcher buffer reuse: a run ten
+// times longer allocates at most a few more objects.
 func TestSMTAllocsIndependentOfRefs(t *testing.T) {
 	w := miniRandom(4 * miniMB)
 	allocs := func(refs uint64) float64 {

@@ -188,9 +188,9 @@ func TestTouchCancelStopsWithinChunk(t *testing.T) {
 	if err := m.Touch(base, pages*addr.BasePageSize, 256); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Touch returned %v, want context.Canceled", err)
 	}
-	if faults := m.procs[0].kernel.Stats().Faults; reported != touchChunk || faults != touchChunk {
+	if faults := m.procs[0].kernel.Stats().Faults; reported != trace.BatchSize || faults != trace.BatchSize {
 		t.Errorf("a sweep canceled in its first chunk reported %d references and faulted %d pages, want %d of each",
-			reported, faults, touchChunk)
+			reported, faults, trace.BatchSize)
 	}
 
 	// The same through Run: the canceled sweep fails the run.
@@ -208,7 +208,7 @@ func TestTouchCancelStopsWithinChunk(t *testing.T) {
 		reported += n
 		cancel()
 	}})
-	if !errors.Is(err, context.Canceled) || reported != touchChunk {
-		t.Errorf("Run returned %v after %d references, want context.Canceled after %d", err, reported, touchChunk)
+	if !errors.Is(err, context.Canceled) || reported != trace.BatchSize {
+		t.Errorf("Run returned %v after %d references, want context.Canceled after %d", err, reported, trace.BatchSize)
 	}
 }

@@ -67,12 +67,12 @@ func TestTouchFallbackBatchesForBatchSink(t *testing.T) {
 		var delivered uint64
 		for _, e := range l.events {
 			var n uint64
-			if _, err := fmt.Sscanf(e, "batch %d", &n); err != nil || n == 0 || n > batcherCap {
-				t.Fatalf("size %d: event %q, want batches of 1..%d refs", size, e, batcherCap)
+			if _, err := fmt.Sscanf(e, "batch %d", &n); err != nil || n == 0 || n > BatchSize {
+				t.Fatalf("size %d: event %q, want batches of 1..%d refs", size, e, BatchSize)
 			}
 			delivered += n
 		}
-		if want := TouchRefs(size); delivered != want || len(l.events) != int((want+batcherCap-1)/batcherCap) {
+		if want := TouchRefs(size); delivered != want || len(l.events) != int((want+BatchSize-1)/BatchSize) {
 			t.Errorf("size %d: %d refs in %d batches, want %d in full batches", size, delivered, len(l.events), want)
 		}
 	}
@@ -162,3 +162,32 @@ func TestBatcherFlushesBeforeTouch(t *testing.T) {
 }
 
 func (l *eventLog) log() *eventLog { return l }
+
+// batchCount is a BatchSink that only counts the references it receives.
+type batchCount struct {
+	recordSink
+	n int
+}
+
+func (c *batchCount) RefBatch(refs []Ref) error {
+	c.n += len(refs)
+	return nil
+}
+
+// TestBatcherTouchAllocatesNothing: a Batcher builds a sweep's batches for
+// a sink that cannot touch in its own buffer.
+func TestBatcherTouchAllocatesNothing(t *testing.T) {
+	sink := &batchCount{}
+	b := NewBatcher(sink)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := b.Touch(1<<30, 1300*addr.BasePageSize, 256); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a 1300-page sweep through a Batcher allocates %.0f objects, want 0", allocs)
+	}
+	if sink.n != 11*1300 {
+		t.Errorf("the sink received %d references, want %d", sink.n, 11*1300)
+	}
+}

@@ -76,16 +76,24 @@ type TouchSink interface {
 // Touch delivers a first-touch sweep of [base, base+size): one write per
 // base page, each with the given gap. A TouchSink receives it as one
 // event, a BatchSink as the per-page references in batches of at most
-// batcherCap, and any other sink one reference at a time.
+// BatchSize, and any other sink one reference at a time.
 func Touch(s Sink, base addr.Virt, size uint64, gap uint32) error {
+	return touch(s, nil, base, size, gap)
+}
+
+// touch is Touch with the buffer a BatchSink's batches are built in: a
+// Batcher passes its own, and nil allocates one.
+func touch(s Sink, buf []Ref, base addr.Virt, size uint64, gap uint32) error {
 	switch s := s.(type) {
 	case TouchSink:
 		return s.Touch(base, size, gap)
 	case BatchSink:
 		pages := TouchRefs(size)
-		buf := make([]Ref, min(pages, batcherCap))
+		if buf == nil {
+			buf = make([]Ref, min(pages, BatchSize))
+		}
 		for off := uint64(0); pages > 0; {
-			batch := buf[:min(pages, batcherCap)]
+			batch := buf[:min(pages, uint64(len(buf)))]
 			for i := range batch {
 				batch[i] = Ref{Addr: base + addr.Virt(off), Write: true, Gap: gap}
 				off += addr.BasePageSize
@@ -111,29 +119,36 @@ func TouchRefs(size uint64) uint64 {
 	return (size + addr.BasePageSize - 1) / addr.BasePageSize
 }
 
-// batcherCap is the Batcher buffer size: 512 references (16 KB) keeps the
-// flush unit comfortably inside the L1 data cache while amortizing the
-// interface dispatch down to one call per 512 references.
-const batcherCap = 512
+// BatchSize is the Batcher buffer size, and so the largest batch a
+// batching producer delivers: 512 references (8 KB) keeps the flush unit
+// comfortably inside the L1 data cache while amortizing the interface
+// dispatch down to one call per 512 references.
+const BatchSize = 512
 
 // Batcher adapts a per-Ref producer (the workload generators) onto batched
 // delivery: references accumulate in a reusable buffer and flush through
 // the sink's RefBatch. Mmap, Munmap, and Phase flush first, so the sink
-// observes every event in exactly the order it was produced. The zero
-// value is not usable; construct with NewBatcher and call Flush (or Close)
-// after the final reference.
+// observes every event in exactly the order it was produced. The first
+// failed flush is sticky: every later Ref, Flush, Touch, Mmap and Munmap
+// returns it and forwards nothing, so a failure inside Phase (which cannot
+// report one) is not lost. The zero value is not usable; construct with
+// NewBatcher and call Flush after the final reference.
 type Batcher struct {
 	sink Sink
 	buf  []Ref
+	err  error // the first failed flush
 }
 
 // NewBatcher wraps a sink in a reference batcher.
 func NewBatcher(s Sink) *Batcher {
-	return &Batcher{sink: s, buf: make([]Ref, 0, batcherCap)}
+	return &Batcher{sink: s, buf: make([]Ref, 0, BatchSize)}
 }
 
 // Ref implements Sink: buffer the reference, flushing when full.
 func (b *Batcher) Ref(r Ref) error {
+	if b.err != nil {
+		return b.err
+	}
 	b.buf = append(b.buf, r)
 	if len(b.buf) == cap(b.buf) {
 		return b.Flush()
@@ -143,20 +158,22 @@ func (b *Batcher) Ref(r Ref) error {
 
 // Flush delivers all buffered references.
 func (b *Batcher) Flush() error {
-	if len(b.buf) == 0 {
-		return nil
+	if b.err != nil || len(b.buf) == 0 {
+		return b.err
 	}
-	err := EmitBatch(b.sink, b.buf)
+	b.err = EmitBatch(b.sink, b.buf)
 	b.buf = b.buf[:0]
-	return err
+	return b.err
 }
 
-// Touch implements TouchSink, flushing buffered references first.
+// Touch implements TouchSink, flushing buffered references first. A sink
+// that batches but cannot touch gets the sweep built in the Batcher's
+// buffer, so a sweep allocates nothing.
 func (b *Batcher) Touch(base addr.Virt, size uint64, gap uint32) error {
 	if err := b.Flush(); err != nil {
 		return err
 	}
-	return Touch(b.sink, base, size, gap)
+	return touch(b.sink, b.buf[:cap(b.buf)], base, size, gap)
 }
 
 // Mmap implements Sink, flushing buffered references first so faults and
@@ -177,12 +194,12 @@ func (b *Batcher) Munmap(base addr.Virt) error {
 }
 
 // Phase implements PhaseSink, flushing so warmup/main counter snapshots
-// land on the exact reference boundary the generator announced.
+// land on the exact reference boundary the generator announced. A failed
+// flush keeps the marker back and surfaces on the next call.
 func (b *Batcher) Phase(name string) {
-	// A flush error here surfaces on the next Ref/Flush call; phase
-	// markers themselves cannot fail.
-	_ = b.Flush()
-	AnnouncePhase(b.sink, name)
+	if b.Flush() == nil {
+		AnnouncePhase(b.sink, name)
+	}
 }
 
 // PhaseSink is optionally implemented by sinks that distinguish execution

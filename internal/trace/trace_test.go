@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -169,5 +170,52 @@ func TestFileWriterRejectsUnknownAddress(t *testing.T) {
 	}
 	if err := fw.Munmap(0xbeef); err == nil {
 		t.Error("munmap of unknown base accepted")
+	}
+}
+
+// failOnceSink fails its first batch and accepts everything after it.
+type failOnceSink struct {
+	recordSink
+	failed bool
+}
+
+var errFailOnce = errors.New("batch failed")
+
+func (f *failOnceSink) RefBatch(refs []Ref) error {
+	if !f.failed {
+		f.failed = true
+		return errFailOnce
+	}
+	f.refs = append(f.refs, refs...)
+	return nil
+}
+
+// TestBatcherFlushErrorIsSticky: a flush that fails inside Phase, which
+// cannot return it, fails every later call, and the Batcher forwards
+// nothing after it.
+func TestBatcherFlushErrorIsSticky(t *testing.T) {
+	sink := &failOnceSink{}
+	b := NewBatcher(sink)
+	if err := b.Ref(Ref{Addr: 1}); err != nil {
+		t.Fatal(err)
+	}
+	b.Phase(MainPhase)
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Ref", func() error { return b.Ref(Ref{Addr: 2}) }},
+		{"Flush", b.Flush},
+		{"Touch", func() error { return b.Touch(1<<30, 4*addr.BasePageSize, 0) }},
+		{"Mmap", func() error { _, err := b.Mmap(addr.BasePageSize); return err }},
+		{"Munmap", func() error { return b.Munmap(1 << 30) }},
+	}
+	for _, c := range calls {
+		if err := c.call(); !errors.Is(err, errFailOnce) {
+			t.Errorf("%s after the failed flush returned %v, want %v", c.name, err, errFailOnce)
+		}
+	}
+	if len(sink.refs) != 0 || len(sink.phases) != 0 || sink.maps != 0 {
+		t.Errorf("the sink received %d refs, phases %v and %d mmaps after the failed flush", len(sink.refs), sink.phases, sink.maps)
 	}
 }
