@@ -15,6 +15,7 @@ import (
 
 	"tps/internal/telemetry/series"
 	"tps/internal/trace"
+	"tps/internal/workload"
 )
 
 // benchMachine assembles a machine for the options and faults in a region
@@ -104,4 +105,54 @@ func BenchmarkRefLoopTelemetry(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		benchRefLoop(b, Options{Setup: SetupTPS, OnRefs: func(n uint64) { refs.Add(n) }})
 	})
+}
+
+// sweeps is a warm-up-only workload: it maps regions of several sizes
+// (the last page of one partial) and sweeps each with trace.Touch, then
+// announces the main phase and stops. All its references are first
+// touches.
+var sweeps = workload.Workload{Name: "sweeps", Run: func(s trace.Sink, _ uint64, _ int64) error {
+	for _, size := range []uint64{4 << 20, 8<<20 + 100, 2 << 20, 6 << 20} {
+		base, err := s.Mmap(size)
+		if err != nil {
+			return err
+		}
+		if err := trace.Touch(s, base, size, 64); err != nil {
+			return err
+		}
+	}
+	trace.AnnouncePhase(s, trace.MainPhase)
+	return nil
+}}
+
+// BenchmarkTouch measures the warm-up sweep end to end: one Run of
+// sweeps per op under THP, functional and with the cycle model, each
+// alone and as two SMT siblings. ns/page is per page touched.
+//
+//	go test -run='^$' -bench=Touch -benchmem ./internal/sim
+func BenchmarkTouch(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"functional", func(*Options) {}},
+		{"cycle-model", func(o *Options) { o.CycleModel = true }},
+		{"smt", func(o *Options) { o.SMT = true }},
+		{"smt+cycle-model", func(o *Options) { o.SMT, o.CycleModel = true, true }},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			opts := Options{Setup: SetupTHP, Refs: 2, MemoryPages: 1 << 16}
+			v.set(&opts)
+			var pages uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(sweeps, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pages += res.OS.Faults
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+		})
+	}
 }

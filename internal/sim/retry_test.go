@@ -160,7 +160,7 @@ func noUncoveredCache(t *testing.T, opts Options, seed int64) {
 			start := r.base + addr.Virt(first*addr.BasePageSize)
 			desc = fmt.Sprintf("step %d: thread %d sweeps %d pages at %#x (write %v, bulk %v)", step, th, n, uint64(start), write, bulk)
 			if bulk {
-				if err := p.kernel.TouchPages(start, n); err != nil {
+				if err := p.kernel.TouchPages(start, n, nil); err != nil {
 					t.Fatalf("%s: %v", desc, err)
 				}
 				break

@@ -299,6 +299,10 @@ type machine struct {
 
 	refsSeen uint64 // compaction-daemon scheduling
 
+	// touched holds the Results of one touchAs chunk for pricing
+	// (trace.BatchSize entries; nil without the cycle model).
+	touched []mmu.Result
+
 	sampler *seriesSampler // nil unless Options.SeriesEvery > 0
 }
 
@@ -438,6 +442,7 @@ func newMachine(opts Options) *machine {
 		m.real = cpu.New(cpu.DefaultParams())
 		m.pl2 = cpu.New(cpu.DefaultParams())
 		m.ideal = cpu.New(cpu.DefaultParams())
+		m.touched = make([]mmu.Result, trace.BatchSize)
 	}
 	// The probe closure is bound once here, never per sample.
 	m.sampler = newSeriesSampler(opts.SeriesEvery, m.sampleInto)
@@ -503,10 +508,7 @@ func (m *machine) refsAs(t int, refs []trace.Ref) error {
 
 // Touch implements trace.TouchSink (thread 0), one chunk of
 // trace.BatchSize pages per cancellation poll, OnRefs call and sampler
-// advance, so they keep RefBatch's granularity. In
-// functional mode the kernel runs each chunk as a page loop
-// (vmm.Kernel.TouchPages); the compaction daemon and the cycle model act
-// per reference, so those runs take the chunk one reference at a time.
+// advance, so they keep RefBatch's granularity. touchAs runs each chunk.
 func (m *machine) Touch(base addr.Virt, size uint64, gap uint32) error {
 	for pages := trace.TouchRefs(size); pages > 0; {
 		n := min(pages, trace.BatchSize)
@@ -516,20 +518,41 @@ func (m *machine) Touch(base addr.Virt, size uint64, gap uint32) error {
 		if m.opts.OnRefs != nil {
 			m.opts.OnRefs(n)
 		}
-		if m.functional() {
-			if err := m.procs[0].kernel.TouchPages(base, n); err != nil {
-				return err
-			}
-		} else {
-			for i := uint64(0); i < n; i++ {
-				if err := m.refAs(0, trace.Ref{Addr: base + addr.Virt(i*addr.BasePageSize), Write: true, Gap: gap}); err != nil {
-					return err
-				}
-			}
+		if err := m.touchAs(0, base, n, gap); err != nil {
+			return err
 		}
 		m.sampler.advance(n)
 		base += addr.Virt(n * addr.BasePageSize)
 		pages -= n
+	}
+	return nil
+}
+
+// touchAs performs thread t's first-touch writes of n <= trace.BatchSize
+// base pages from base, each with the given gap: the one path of every
+// warm-up sweep, whole chunks from Touch and SMT quanta from runSMT. The
+// kernel runs the pages as a page loop (vmm.Kernel.TouchPages); with the
+// cycle model it reports each page's Result, which is then priced as
+// refAs prices it. Only the compaction daemon, which acts between any
+// two references, takes the pages one reference at a time.
+func (m *machine) touchAs(t int, base addr.Virt, n uint64, gap uint32) error {
+	if m.opts.CompactEvery > 0 {
+		for i := uint64(0); i < n; i++ {
+			if err := m.refAs(t, trace.Ref{Addr: base + addr.Virt(i*addr.BasePageSize), Write: true, Gap: gap}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var out []mmu.Result
+	if m.caches != nil {
+		out = m.touched[:n]
+	}
+	if err := m.procs[t].kernel.TouchPages(base, n, out); err != nil {
+		return err
+	}
+	for i := range out {
+		m.price(trace.Ref{Addr: base + addr.Virt(uint64(i)*addr.BasePageSize), Write: true, Gap: gap}, out[i])
 	}
 	return nil
 }
@@ -569,9 +592,15 @@ func (m *machine) refAs(t int, r trace.Ref) error {
 			return err
 		}
 	}
-	if m.caches == nil {
-		return nil
+	if m.caches != nil {
+		m.price(r, res)
 	}
+	return nil
+}
+
+// price charges reference r, translated as res, to the cache hierarchy and
+// the three timing scenarios (cycle model only).
+func (m *machine) price(r trace.Ref, res mmu.Result) {
 	memLat := m.caches.Latency(res.Phys)
 
 	// Translation latency under the real hierarchy.
@@ -604,7 +633,6 @@ func (m *machine) refAs(t int, r trace.Ref) error {
 	m.pl2.Ref(r.Dep, translPL2+memLat)
 	m.ideal.Instr(uint64(r.Gap))
 	m.ideal.Ref(r.Dep, memLat)
-	return nil
 }
 
 // walkRefAddr synthesizes a stable physical address for the i-th memory
@@ -769,11 +797,13 @@ const smtQuantum = 8
 // through one machine in fixed quanta of smtQuantum references, modeling
 // an SMT sibling competing for TLB resources (Figs. 2 and 14). Each
 // sibling's generator runs in a producer goroutine behind a trace.Batcher
-// and hands over one event at a time: a batch of references, an mmap
-// request or its main-phase marker. It then waits until the scheduler
-// pulls its next event, so a producer never runs alongside the scheduler,
-// the Batcher reuses its buffer only once the scheduler has run all of it,
-// and the interleave is a pure function of the two event sequences.
+// and hands over one event at a time: a batch of references, a warm-up
+// sweep, an mmap request or its main-phase marker. It then waits until
+// the scheduler pulls its next event, so a producer never runs alongside
+// the scheduler, the Batcher reuses its buffer only once the scheduler has
+// run all of it, and the interleave is a pure function of the two event
+// sequences. A quantum of a sweep runs through machine.touchAs, so the
+// shared TLB sees the same interleave as if each page came as a reference.
 // However the run ends, the deferred stops end both producers before
 // runSMT returns.
 func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts Options) error {
@@ -802,6 +832,18 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 		}
 		for i, t := range threads {
 			for q := 0; q < smtQuantum && !t.ended; {
+				if sw := &t.sweep; sw.pages > 0 {
+					n := min(uint64(smtQuantum-q), sw.pages)
+					counter.CountTouch(n, sw.gap)
+					batched += n
+					if err := m.touchAs(i, sw.base, n, sw.gap); err != nil {
+						return err
+					}
+					sw.base += addr.Virt(n * addr.BasePageSize)
+					sw.pages -= n
+					q += int(n)
+					continue
+				}
 				if len(t.cur) > 0 {
 					refs := t.cur[:min(smtQuantum-q, len(t.cur))]
 					t.cur = t.cur[len(refs):]
@@ -830,6 +872,8 @@ func runSMT(w workload.Workload, m *machine, counter *trace.CountingSink, opts O
 					}
 				case ev.refs != nil:
 					t.cur = ev.refs
+				case ev.sweep.pages > 0:
+					t.sweep = ev.sweep
 				default:
 					base, err := m.mmapAs(i, ev.size)
 					if err != nil {
@@ -860,15 +904,24 @@ type smtThread struct {
 
 	// Scheduler side only.
 	cur   []trace.Ref // the current batch's references not yet run
+	sweep smtSweep    // the current sweep's pages not yet run
 	ended bool        // events closed: the producer has returned
 }
 
-// smtEvent is one event of a sibling's stream: a batch of references, the
-// main-phase marker, or else an mmap request.
+// smtEvent is one event of a sibling's stream: a batch of references, a
+// sweep, the main-phase marker, or else an mmap request.
 type smtEvent struct {
-	refs []trace.Ref
-	main bool
-	size uint64 // mmap request: the mapping size
+	refs  []trace.Ref
+	sweep smtSweep
+	main  bool
+	size  uint64 // mmap request: the mapping size
+}
+
+// smtSweep is a first-touch sweep: one write per base page from base.
+type smtSweep struct {
+	base  addr.Virt
+	pages uint64
+	gap   uint32
 }
 
 // errSMTAborted is returned into a producer that the scheduler stopped; it
@@ -917,7 +970,8 @@ func (t *smtThread) stop() {
 }
 
 // smtSink hands one SMT sibling's events to the scheduler, one at a time.
-// A trace.Batcher in front of it batches the generator's references.
+// A trace.Batcher in front of it batches the generator's references and
+// forwards each warm-up sweep whole.
 type smtSink struct {
 	t       *smtThread
 	stopped bool // the scheduler answered false: every later event fails
@@ -943,6 +997,16 @@ func (s *smtSink) RefBatch(refs []trace.Ref) error {
 		return nil
 	}
 	return s.yield(smtEvent{refs: refs})
+}
+
+// Touch implements trace.TouchSink. The scheduler has run every page of
+// the sweep by the time it returns.
+func (s *smtSink) Touch(base addr.Virt, size uint64, gap uint32) error {
+	pages := trace.TouchRefs(size)
+	if pages == 0 {
+		return nil
+	}
+	return s.yield(smtEvent{sweep: smtSweep{base: base, pages: pages, gap: gap}})
 }
 
 // Ref implements trace.Sink as a batch of one.

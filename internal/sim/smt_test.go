@@ -1,9 +1,11 @@
 package sim
 
 // runSMT takes each sibling's references from its trace.Batcher one batch
-// at a time and runs a quantum of them as one sub-slice. The tests here
-// hold it to runSMTReference, the scheduler it replaced (one unbuffered
-// channel send per reference), and check its teardown and its allocations.
+// at a time and runs a quantum of them as one sub-slice, and takes a
+// warm-up sweep as one event and runs it a quantum of pages at a time.
+// The tests here hold it to runSMTReference, the scheduler it replaced
+// (one unbuffered channel send per reference, every sweep page among
+// them), and check its teardown and its allocations.
 
 import (
 	"context"
@@ -280,7 +282,8 @@ func runSMTWith(w workload.Workload, opts Options, smt smtScheduler) (smtRun, er
 // The workloads are gcc, xz, touch-churn (which maps regions in its main
 // phase) and scripted streams that put an mmap or the main phase on a
 // chunk boundary or inside a quantum, end inside a quantum, stay below
-// one chunk, or sweep a region with trace.Touch from inside a quantum.
+// one chunk, or sweep a region with trace.Touch from inside a quantum or
+// from a chunk boundary.
 func TestSMTSchedulerMatchesReference(t *testing.T) {
 	variants := []struct {
 		name string
@@ -308,11 +311,13 @@ func TestSMTSchedulerMatchesReference(t *testing.T) {
 		{scripted("mmap-then-phase-at-start", script{mmaps: []uint64{0, 1}}), 2 * 1001},
 		{scripted("below-one-chunk", script{mmaps: []uint64{7}, phase: 100}), 2 * 150},
 		{scripted("empty", script{}), 0},
-		// Warm-up sweeps reach the scheduler as Batcher chunks. These
-		// start inside a quantum and end off a chunk boundary, the last
-		// page partial in the second.
+		// Warm-up sweeps reach the scheduler as one event each and run a
+		// quantum of pages at a time. These start inside a quantum and end
+		// off a chunk boundary, the last page partial in the second.
 		{scripted("touch-mid-quantum", script{touch: 700 * addr.BasePageSize, touchAt: 3, phase: 5}), 2 * chunk},
 		{scripted("touch-mid-chunk-partial-page", script{touch: 2*chunk*addr.BasePageSize + 100, touchAt: chunk + 5, mmaps: []uint64{chunk + 9}, phase: chunk + 11}), 3 * chunk},
+		// This one starts on a chunk boundary and ends on a quantum one.
+		{scripted("touch-on-boundaries", script{touch: 2 * chunk * addr.BasePageSize, touchAt: chunk, phase: chunk}), 2 * chunk},
 	}
 	if !raceEnabled {
 		for _, name := range []string{"gcc", "xz"} {

@@ -1,10 +1,12 @@
 package sim
 
-// Generators deliver each warm-up sweep as one trace.Touch event, and a
-// functional machine runs it as vmm.Kernel.TouchPages, a page loop that
-// faults never-touched pages without probing any TLB. The tests here hold
-// that path to the per-reference path it replaces, and check that a
-// canceled run stops within one chunk of a sweep.
+// Generators deliver each warm-up sweep as one trace.Touch event, and the
+// machine runs it as vmm.Kernel.TouchPages, a page loop that faults
+// never-touched pages without probing any TLB; the cycle model prices
+// each page from the Result the loop reports, and an SMT sibling's sweep
+// runs a quantum at a time. The tests here hold that path to the
+// per-reference path it replaces, and check that a canceled run stops
+// within one chunk of a sweep.
 
 import (
 	"context"
@@ -36,9 +38,10 @@ func perRef(w workload.Workload) workload.Workload {
 }
 
 // touchChurn sweeps regions of odd sizes (the last page partial in some),
-// after scattered reads have faulted a few of their pages, then sweeps
-// sub-ranges again over pages already touched, and in the measured phase
-// mixes random references with new regions swept in halves.
+// at four gaps, after scattered reads have faulted a few of their pages,
+// then sweeps sub-ranges again over pages already touched, and in the
+// measured phase mixes random references with new regions swept in
+// halves.
 func touchChurn() workload.Workload {
 	return workload.Workload{
 		Name: "touch-churn",
@@ -67,7 +70,12 @@ func touchChurn() workload.Workload {
 						return err
 					}
 				}
-				if err := trace.Touch(s, g.base, g.size, 256); err != nil {
+				// The cycle model's 256-entry ROB holds the writes of the
+				// last 256 instructions, and a sweep write comes every
+				// gap+1. At gap 50 five earlier writes stay in flight, at
+				// 51 four; at 63 three, at 62 four. So pricing a page at
+				// gap+1 or gap-1 moves the cycle counts.
+				if err := trace.Touch(s, g.base, g.size, []uint32{256, 16, 50, 63}[i]); err != nil {
 					return err
 				}
 			}
@@ -108,7 +116,8 @@ func touchChurn() workload.Workload {
 // machine as Touch events and, through perRef, as per-page references,
 // under every registered scheme on fresh and fragmented memory, at
 // promotion threshold 0.5, without the translation cache, virtualized,
-// with the compaction daemon, with the cycle model and under SMT. The
+// with the compaction daemon, with the cycle model (native and
+// virtualized), and under SMT with and without the cycle model. The
 // Results and the references reported through OnRefs must be equal.
 func TestTouchMatchesPerPageRefs(t *testing.T) {
 	variants := []struct {
@@ -123,6 +132,8 @@ func TestTouchMatchesPerPageRefs(t *testing.T) {
 		{"compact-every", func(o *Options) { o.CompactEvery = 5000 }},
 		{"cycle-model", func(o *Options) { o.CycleModel = true }},
 		{"smt", func(o *Options) { o.SMT = true }},
+		{"smt+cycle-model", func(o *Options) { o.SMT, o.CycleModel = true, true }},
+		{"virtualized+cycle-model", func(o *Options) { o.Virtualized, o.CycleModel = true, true }},
 	}
 	leela, ok := workload.ByName("leela")
 	if !ok {

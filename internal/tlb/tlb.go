@@ -316,30 +316,27 @@ func (t *SetAssoc) InsertWay(e Entry) int {
 	}
 	t.tick++
 	s := t.index(e.VPN, e.Order) * t.ways
-	vi := -1
-	tags, ords := t.tags[s:s+t.ways], t.ords[s:s+t.ways]
+	// One scan finds the way holding e, the first invalid way and the
+	// least recently used way (strict <, first occurrence).
+	vi, lru := -1, 0
+	tags, ords, lrus := t.tags[s:s+t.ways], t.ords[s:s+t.ways], t.lrus[s:s+t.ways]
 	for w, tag := range tags {
 		// An entry's tag is never invalidTag, so a tag match is a valid way.
 		if tag == uint64(e.VPN) && ords[w] == e.Order {
 			t.pfns[s+w] = e.PFN
 			t.flags[s+w] = e.Flags
-			t.lrus[s+w] = t.tick
+			lrus[w] = t.tick
 			return s + w
 		}
 		if tag == invalidTag && vi < 0 {
 			vi = s + w
 		}
-	}
-	// Victim: the first invalid way if any, else the least recently used
-	// (strict <, first occurrence).
-	if vi < 0 {
-		lrus := t.lrus[s : s+t.ways]
-		lru := 0
-		for w := 1; w < len(lrus); w++ {
-			if lrus[w] < lrus[lru] {
-				lru = w
-			}
+		if lrus[w] < lrus[lru] {
+			lru = w
 		}
+	}
+	// Victim: the first invalid way if any, else the least recently used.
+	if vi < 0 {
 		vi = s + lru
 	}
 	if t.tags[vi] != invalidTag {
@@ -570,31 +567,10 @@ func (t *FullyAssoc) Probe(vpn addr.VPN) (Entry, bool) {
 	return Entry{}, false
 }
 
-// overlapPairs counts the valid entries, other than the one at index i,
-// whose VPN range intersects entry i's range — entry i's contribution to
-// the overlaps pair count. O(n), called only on the fill/invalidate paths,
-// which are already O(n).
-func (t *FullyAssoc) overlapPairs(i int) int {
-	start := addr.VPN(t.tags[i])
-	end := start + addr.VPN(t.ords[i].Pages())
-	n := 0
-	for j := range t.tags {
-		if j == i || t.tags[j] == invalidTag {
-			continue
-		}
-		oStart := addr.VPN(t.tags[j])
-		oEnd := oStart + addr.VPN(t.ords[j].Pages())
-		if start < oEnd && oStart < end {
-			n++
-		}
-	}
-	return n
-}
-
 // drop invalidates entry i, keeping the overlap pair count and comparator
 // arrays consistent.
 func (t *FullyAssoc) drop(i int) {
-	t.overlaps -= t.overlapPairs(i)
+	t.overlaps += t.overlapDelta(i, invalidTag, 0)
 	t.gen++
 	t.tags[i] = invalidTag
 	t.masks[i] = 0
@@ -607,34 +583,34 @@ func (t *FullyAssoc) Insert(e Entry) { t.InsertWay(e) }
 // InsertWay is Insert, additionally reporting the way the entry landed in.
 func (t *FullyAssoc) InsertWay(e Entry) int {
 	t.tick++
-	vi := -1
-	for i, tag := range t.tags {
+	// One scan finds the slot holding e, the first invalid slot and the
+	// least recently used slot (strict <, first occurrence).
+	vi, lru := -1, 0
+	tags, lrus := t.tags, t.lrus
+	for i, tag := range tags {
 		if tag == uint64(e.VPN) && t.ords[i] == e.Order {
 			// Same translation re-filled in place: the covered range is
 			// unchanged, so the overlap count is too.
 			t.pfns[i] = e.PFN
 			t.flags[i] = e.Flags
-			t.lrus[i] = t.tick
+			lrus[i] = t.tick
 			return i
 		}
 		if tag == invalidTag && vi < 0 {
 			vi = i
 		}
-	}
-	// Victim: the first invalid slot if any, else the least recently used
-	// (strict <, first occurrence).
-	if vi < 0 {
-		vi = 0
-		for i, lru := range t.lrus {
-			if lru < t.lrus[vi] {
-				vi = i
-			}
+		if lrus[i] < lrus[lru] {
+			lru = i
 		}
 	}
+	// Victim: the first invalid slot if any, else the least recently used.
+	if vi < 0 {
+		vi = lru
+	}
 	if t.tags[vi] != invalidTag {
-		t.overlaps -= t.overlapPairs(vi)
 		t.stats.Evictions++
 	}
+	t.overlaps += t.overlapDelta(vi, uint64(e.VPN), OrderMask(e.Order))
 	t.gen++
 	t.tags[vi] = uint64(e.VPN)
 	t.masks[vi] = OrderMask(e.Order)
@@ -642,9 +618,32 @@ func (t *FullyAssoc) InsertWay(e Entry) int {
 	t.pfns[vi] = e.PFN
 	t.flags[vi] = e.Flags
 	t.lrus[vi] = t.tick
-	t.overlaps += t.overlapPairs(vi)
 	t.stats.Fills++
 	return vi
+}
+
+// overlapDelta is the change in the overlaps pair count when slot i's
+// entry (or empty slot) gives way to the entry with the given tag and
+// mask, in one pass. Entries are order-aligned, so two of them intersect
+// exactly when one contains the other's base: a&mb == b or b&ma == a. An
+// empty slot (invalidTag, mask 0) passes neither test against any entry,
+// so the fill path passes the new entry and drop passes an empty slot.
+func (t *FullyAssoc) overlapDelta(i int, tag, mask uint64) int {
+	oldTag, oldMask := t.tags[i], t.masks[i]
+	d := 0
+	for j, b := range t.tags {
+		if j == i {
+			continue
+		}
+		mb := t.masks[j]
+		if tag&mb == b || b&mask == tag {
+			d++
+		}
+		if oldTag&mb == b || b&oldMask == oldTag {
+			d--
+		}
+	}
+	return d
 }
 
 // Resident implements TLB.

@@ -126,6 +126,22 @@ func TestCountingSinkTouchMatchesRefs(t *testing.T) {
 	}
 }
 
+// TestCountTouchMatchesCount holds CountTouch, the tally of a sweep, to
+// Count of the sweep's per-page references, at gaps from 0 to the
+// largest.
+func TestCountTouchMatchesCount(t *testing.T) {
+	for _, size := range sweepSizes {
+		for _, gap := range []uint32{0, 16, ^uint32(0)} {
+			var touched, perRef CountingSink
+			touched.CountTouch(TouchRefs(size), gap)
+			perRef.Count(sweepRefs(0, size, gap))
+			if touched != perRef {
+				t.Errorf("size %d, gap %d: CountTouch tallied %+v, Count %+v", size, gap, touched, perRef)
+			}
+		}
+	}
+}
+
 func TestBatcherFlushesBeforeTouch(t *testing.T) {
 	cases := []struct {
 		name string

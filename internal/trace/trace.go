@@ -249,6 +249,14 @@ func (c *CountingSink) Count(refs []Ref) {
 	}
 }
 
+// CountTouch tallies a sweep of n pages with the given gap without
+// delivering it: n writes, each after gap instructions.
+func (c *CountingSink) CountTouch(n uint64, gap uint32) {
+	c.Refs += n
+	c.Instructions += n * (uint64(gap) + 1)
+	c.Writes += n
+}
+
 // RefBatch implements BatchSink: tally the batch, then forward it whole so
 // a batching producer keeps batched delivery through the wrapped sink.
 func (c *CountingSink) RefBatch(refs []Ref) error {
@@ -259,10 +267,7 @@ func (c *CountingSink) RefBatch(refs []Ref) error {
 // Touch implements TouchSink: tally the sweep's references, then forward
 // it whole.
 func (c *CountingSink) Touch(base addr.Virt, size uint64, gap uint32) error {
-	n := TouchRefs(size)
-	c.Refs += n
-	c.Instructions += n * (uint64(gap) + 1)
-	c.Writes += n
+	c.CountTouch(TouchRefs(size), gap)
 	return Touch(c.Sink, base, size, gap)
 }
 

@@ -36,7 +36,8 @@ const touchChunk = 512
 // touching n consecutive pages from v: Access, as the simulator takes it
 // for a single reference (a translation that fails in the walk, the
 // fault, then the retry from the walk); the public Fault alone, with its
-// coverage check; and TouchPages, the page loop a warm-up sweep runs as.
+// coverage check; and TouchPages, the page loop a warm-up sweep runs as,
+// without and with the per-page Results the cycle model prices.
 var firstTouches = []struct {
 	name  string
 	touch func(k *Kernel, v addr.Virt, n uint64) error
@@ -57,8 +58,12 @@ var firstTouches = []struct {
 		}
 		return nil
 	}},
-	{"touch", func(k *Kernel, v addr.Virt, n uint64) error { return k.TouchPages(v, n) }},
+	{"touch", func(k *Kernel, v addr.Virt, n uint64) error { return k.TouchPages(v, n, nil) }},
+	{"touch+results", func(k *Kernel, v addr.Virt, n uint64) error { return k.TouchPages(v, n, touchResults[:n]) }},
 }
+
+// touchResults is the caller-owned buffer the touch+results case fills.
+var touchResults = make([]mmu.Result, touchChunk)
 
 func TestFaultAllocs(t *testing.T) {
 	for _, tc := range faultPolicies {
@@ -141,5 +146,68 @@ func BenchmarkFault(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// TestTouchPagesDifferentialAgainstAccess holds TouchPages' per-page Results to
+// those of one Access per page, on two identical systems: a first sweep
+// over pages that scattered reads have partly faulted in, then a second
+// over the same pages, all touched by then. Promotions at threshold 0.5
+// map pages no reference has touched. Every Result, and the kernel and
+// MMU counters after each sweep, must be equal.
+func TestTouchPagesDifferentialAgainstAccess(t *testing.T) {
+	thresholdHalf := DefaultConfig(PolicyTPS)
+	thresholdHalf.PromotionThreshold = 0.5
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		org  mmu.Organization
+	}{
+		{"base4k", DefaultConfig(PolicyBase4K), mmu.OrgConventional},
+		{"thp", DefaultConfig(PolicyTHP), mmu.OrgConventional},
+		{"tps", DefaultConfig(PolicyTPS), mmu.OrgTPS},
+		{"tps/threshold=0.5", thresholdHalf, mmu.OrgTPS},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const pages = 3*touchChunk + 77
+			touch, touchMMU := newSystem(t, tc.cfg, 1<<14, tc.org)
+			access, accessMMU := newSystem(t, tc.cfg, 1<<14, tc.org)
+			var base addr.Virt
+			for _, k := range []*Kernel{touch, access} {
+				b, err := k.Mmap(pages*addr.BasePageSize+100, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base = b
+				for i := uint64(0); i < pages; i += 1 + i%37 {
+					if _, err := k.Access(base+addr.Virt(i*addr.BasePageSize+8), false); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			out := make([]mmu.Result, touchChunk)
+			for sweep := 0; sweep < 2; sweep++ {
+				for first := uint64(0); first < pages; first += touchChunk {
+					n := min(touchChunk, pages-first)
+					v := base + addr.Virt(first*addr.BasePageSize)
+					if err := touch.TouchPages(v, n, out[:n]); err != nil {
+						t.Fatal(err)
+					}
+					for i := uint64(0); i < n; i++ {
+						want, err := access.Access(v+addr.Virt(i*addr.BasePageSize), true)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if out[i] != want {
+							t.Fatalf("sweep %d, page %d: TouchPages reported %+v, Access %+v", sweep, first+i, out[i], want)
+						}
+					}
+				}
+				if touch.Stats() != access.Stats() || touchMMU.Stats() != accessMMU.Stats() {
+					t.Errorf("sweep %d: counters diverged\ntouch:  %+v %+v\naccess: %+v %+v",
+						sweep, touch.Stats(), touchMMU.Stats(), access.Stats(), accessMMU.Stats())
+				}
+			}
+		})
 	}
 }

@@ -547,12 +547,16 @@ func (k *Kernel) countFault(r *reservation, vpn addr.VPN) {
 // or in no reservation) goes through Access. The VMA and the reservation
 // carry over from page to page and are looked up again only when the
 // sweep leaves them.
-func (k *Kernel) TouchPages(v addr.Virt, n uint64) error {
+//
+// When out is non-nil (len(out) >= n), out[i] receives page i's Result:
+// the one Access would return for it, which for a never-touched page is
+// the post-fault retry's. The cycle model prices each page from these.
+func (k *Kernel) TouchPages(v addr.Virt, n uint64, out []mmu.Result) error {
 	var (
 		vm *vma
 		r  *reservation
 	)
-	for ; n > 0; n, v = n-1, v+addr.BasePageSize {
+	for i := uint64(0); i < n; i, v = i+1, v+addr.BasePageSize {
 		vpn := v.PageNumber()
 		if vm == nil || v < vm.start || v >= vm.end {
 			vm, r = k.findVMA(v), nil
@@ -560,28 +564,42 @@ func (k *Kernel) TouchPages(v addr.Virt, n uint64) error {
 		if vm != nil && (r == nil || !r.contains(vpn)) {
 			r = vm.findReservation(vpn)
 		}
+		var (
+			res mmu.Result
+			err error
+		)
 		if r == nil || r.isTouched(vpn) {
-			if _, err := k.Access(v, true); err != nil {
-				return err
-			}
-			continue
+			res, err = k.Access(v, true)
+		} else {
+			res, err = k.touchUntouched(vm, r, v)
 		}
-		// The walk returns the ErrNotMapped sentinel itself, unwrapped.
-		if _, err := k.mmu.RetryAfterFault(v, true); err != pagetable.ErrNotMapped {
-			if err == nil {
-				err = fmt.Errorf("vmm: never-touched page %#x is mapped", uint64(v))
-			}
+		if err != nil {
 			return err
 		}
-		k.countFault(r, vpn)
-		if err := k.demandMap(vm, r, vpn); err != nil {
-			return err
-		}
-		if _, err := k.mmu.RetryAfterFault(v, true); err != nil {
-			return err
+		if out != nil {
+			out[i] = res
 		}
 	}
 	return nil
+}
+
+// touchUntouched is TouchPages' first touch of the never-touched page at
+// v in r: the walk fails, the fault maps the page, and the retry resumes
+// at the walk.
+func (k *Kernel) touchUntouched(vm *vma, r *reservation, v addr.Virt) (mmu.Result, error) {
+	// The walk returns the ErrNotMapped sentinel itself, unwrapped.
+	if _, err := k.mmu.RetryAfterFault(v, true); err != pagetable.ErrNotMapped {
+		if err == nil {
+			err = fmt.Errorf("vmm: never-touched page %#x is mapped", uint64(v))
+		}
+		return mmu.Result{}, err
+	}
+	vpn := v.PageNumber()
+	k.countFault(r, vpn)
+	if err := k.demandMap(vm, r, vpn); err != nil {
+		return mmu.Result{}, err
+	}
+	return k.mmu.RetryAfterFault(v, true)
 }
 
 // demandMap maps the unmapped base page vpn from its reservation frame (or
