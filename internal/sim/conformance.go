@@ -59,10 +59,8 @@ func newSteadyMachine(opts Options) (*machine, []trace.Ref, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	for off := uint64(0); off < steadyFootprint; off += addr.BasePageSize {
-		if err := m.Ref(trace.Ref{Addr: base + addr.Virt(off), Write: true, Gap: 256}); err != nil {
-			return nil, nil, err
-		}
+	if err := m.Touch(base, steadyFootprint, 256); err != nil {
+		return nil, nil, err
 	}
 	return m, steadyPattern(base, steadyFootprint, 1<<15), nil
 }

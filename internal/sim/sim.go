@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"tps/internal/addr"
@@ -265,18 +266,63 @@ func (r Result) TL1DTLBM() uint64 {
 }
 
 // proc is one simulated process (address space): its kernel, its
-// hardware-thread MMU context, and any per-process baseline machinery.
+// hardware-thread MMU context, and what its scheme attached.
 type proc struct {
 	kernel *vmm.Kernel
 	mmu    *mmu.MMU
-	rtlb   *rmm.RangeTLB
-	coal   *colt.Coalescer
+	att    scheme.Attachment
 
-	// Warmup baselines captured at the main-phase boundary.
-	baseMMU   mmu.Stats
-	baseRMM   rmm.Stats
-	baseCoLT  colt.Stats
-	baseOSSys uint64
+	base counters // captured at the main-phase boundary
+}
+
+// counters is one proc's counter snapshot: the stat blocks of its MMU, its
+// kernel, and the range TLB and coalescer its scheme may have attached.
+// Its fields are exported because counters.add sets them by reflection.
+type counters struct {
+	MMU  mmu.Stats
+	OS   vmm.Stats
+	RMM  rmm.Stats
+	CoLT colt.Stats
+}
+
+// counters snapshots the proc's counters.
+func (p *proc) counters() counters {
+	c := counters{MMU: p.mmu.Stats(), OS: p.kernel.Stats()}
+	if p.att.RangeTLB != nil {
+		c.RMM = p.att.RangeTLB.Stats()
+	}
+	if p.att.Coalescer != nil {
+		c.CoLT = p.att.Coalescer.Stats()
+	}
+	return c
+}
+
+// add adds o to c counter by counter, or subtracts it when neg is set.
+func (c *counters) add(o counters, neg bool) {
+	addFields(reflect.ValueOf(c).Elem(), reflect.ValueOf(o), neg)
+}
+
+// addFields adds every uint64 of src to the same one of dst, or subtracts
+// it when neg is set, through nested structs and arrays.
+func addFields(dst, src reflect.Value, neg bool) {
+	switch dst.Kind() {
+	case reflect.Uint64:
+		if neg {
+			dst.SetUint(dst.Uint() - src.Uint())
+		} else {
+			dst.SetUint(dst.Uint() + src.Uint())
+		}
+	case reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			addFields(dst.Field(i), src.Field(i), neg)
+		}
+	case reflect.Array:
+		for i := 0; i < dst.Len(); i++ {
+			addFields(dst.Index(i), src.Index(i), neg)
+		}
+	default:
+		panic(fmt.Sprintf("sim: counter of kind %s", dst.Kind()))
+	}
 }
 
 // machine bundles one assembled system: shared physical memory and
@@ -297,7 +343,7 @@ type machine struct {
 	baseWalker   uint64
 	cyclesWarmup uint64
 
-	refsSeen uint64 // compaction-daemon scheduling
+	refsSeen uint64 // references run, across SMT siblings (compaction daemon)
 
 	// touched holds the Results of one touchAs chunk for pricing
 	// (trace.BatchSize entries; nil without the cycle model).
@@ -325,14 +371,7 @@ func (m *machine) Phase(name string) {
 		return
 	}
 	for _, p := range m.procs {
-		p.baseMMU = p.mmu.Stats()
-		if p.rtlb != nil {
-			p.baseRMM = p.rtlb.Stats()
-		}
-		if p.coal != nil {
-			p.baseCoLT = p.coal.Stats()
-		}
-		p.baseOSSys = p.kernel.Stats().SysCycles
+		p.base = p.counters()
 	}
 	m.baseWalker = m.walkerCycles
 	if m.real != nil {
@@ -341,44 +380,6 @@ func (m *machine) Phase(name string) {
 		m.pl2 = cpu.New(cpu.DefaultParams())
 		m.ideal = cpu.New(cpu.DefaultParams())
 	}
-}
-
-// subMMU subtracts warmup counters from a final snapshot.
-func subMMU(a, b mmu.Stats) mmu.Stats {
-	a.Accesses -= b.Accesses
-	a.L1Hits -= b.L1Hits
-	a.L1Misses -= b.L1Misses
-	a.STLBHits -= b.STLBHits
-	a.STLBMisses -= b.STLBMisses
-	a.SidecarHits -= b.SidecarHits
-	a.Walks -= b.Walks
-	a.WalkRefs -= b.WalkRefs
-	a.AliasExtras -= b.AliasExtras
-	a.NestedRefs -= b.NestedRefs
-	for i := range a.PWCHits {
-		a.PWCHits[i] -= b.PWCHits[i]
-	}
-	a.ADWrites -= b.ADWrites
-	return a
-}
-
-// addMMU sums two stat blocks (SMT aggregation).
-func addMMU(a, b mmu.Stats) mmu.Stats {
-	a.Accesses += b.Accesses
-	a.L1Hits += b.L1Hits
-	a.L1Misses += b.L1Misses
-	a.STLBHits += b.STLBHits
-	a.STLBMisses += b.STLBMisses
-	a.SidecarHits += b.SidecarHits
-	a.Walks += b.Walks
-	a.WalkRefs += b.WalkRefs
-	a.AliasExtras += b.AliasExtras
-	a.NestedRefs += b.NestedRefs
-	for i := range a.PWCHits {
-		a.PWCHits[i] += b.PWCHits[i]
-	}
-	a.ADWrites += b.ADWrites
-	return a
 }
 
 // newMachine assembles the system for the options. The setup must resolve
@@ -430,9 +431,8 @@ func newMachine(opts Options) *machine {
 	}
 	for i := 0; i < nProcs; i++ {
 		p := &proc{kernel: vmm.New(kcfg, bud)}
-		att := sch.Attach(p.kernel)
-		p.rtlb, p.coal = att.RangeTLB, att.Coalescer
-		p.mmu = mmu.NewThread(m.hw, p.kernel.Table(), uint16(i), att.Sidecar, att.Fill)
+		p.att = sch.Attach(p.kernel)
+		p.mmu = mmu.NewThread(m.hw, p.kernel.Table(), uint16(i), p.att.Sidecar, p.att.Fill)
 		p.kernel.AttachMMU(p.mmu)
 		m.procs = append(m.procs, p)
 	}
@@ -455,9 +455,9 @@ func (m *machine) Mmap(size uint64) (addr.Virt, error) { return m.mmapAs(0, size
 // Munmap implements trace.Sink (thread 0).
 func (m *machine) Munmap(base addr.Virt) error { return m.procs[0].kernel.Munmap(base) }
 
-// Ref implements trace.Sink (thread 0).
+// Ref implements trace.Sink (thread 0) as a batch of one.
 func (m *machine) Ref(r trace.Ref) error {
-	if err := m.refAs(0, r); err != nil {
+	if err := m.refsAs(0, []trace.Ref{r}); err != nil {
 		return err
 	}
 	m.sampler.advance(1)
@@ -482,25 +482,30 @@ func (m *machine) RefBatch(refs []trace.Ref) error {
 }
 
 // refsAs performs thread t's references in order, stopping at the first
-// failure: the per-thread loop behind RefBatch and each SMT quantum.
+// failure: the per-thread loop behind RefBatch and each SMT quantum. It
+// runs them in chunks between the compaction daemon's ticks.
 func (m *machine) refsAs(t int, refs []trace.Ref) error {
-	if m.functional() {
-		// Functional mode does nothing per reference beyond the
-		// translation itself, so drive the MMU straight from the slice
-		// through the Result-free Access fast path.
-		p := m.procs[t]
-		for i := range refs {
-			if err := p.mmu.Access(refs[i].Addr, refs[i].Write); err != nil {
-				if _, err = p.kernel.Resolve(refs[i].Addr, refs[i].Write, mmu.Result{}, err); err != nil {
+	p := m.procs[t]
+	for len(refs) > 0 {
+		chunk := refs[:m.tick(uint64(len(refs)))]
+		refs = refs[len(chunk):]
+		if m.caches != nil {
+			for i := range chunk {
+				if err := m.refAs(t, chunk[i]); err != nil {
 					return err
 				}
 			}
+			continue
 		}
-		return nil
-	}
-	for i := range refs {
-		if err := m.refAs(t, refs[i]); err != nil {
-			return err
+		// Functional mode does nothing per reference beyond the
+		// translation itself, so drive the MMU straight from the slice
+		// through the Result-free Access fast path.
+		for i := range chunk {
+			if err := p.mmu.Access(chunk[i].Addr, chunk[i].Write); err != nil {
+				if _, err = p.kernel.Resolve(chunk[i].Addr, chunk[i].Write, mmu.Result{}, err); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
@@ -531,66 +536,65 @@ func (m *machine) Touch(base addr.Virt, size uint64, gap uint32) error {
 // touchAs performs thread t's first-touch writes of n <= trace.BatchSize
 // base pages from base, each with the given gap: the one path of every
 // warm-up sweep, whole chunks from Touch and SMT quanta from runSMT. The
-// kernel runs the pages as a page loop (vmm.Kernel.TouchPages); with the
-// cycle model it reports each page's Result, which is then priced as
-// refAs prices it. Only the compaction daemon, which acts between any
-// two references, takes the pages one reference at a time.
+// kernel runs the pages between the compaction daemon's ticks as page
+// loops (vmm.Kernel.TouchPages); with the cycle model it reports each
+// page's Result, which is then priced as refAs prices it.
 func (m *machine) touchAs(t int, base addr.Virt, n uint64, gap uint32) error {
-	if m.opts.CompactEvery > 0 {
-		for i := uint64(0); i < n; i++ {
-			if err := m.refAs(t, trace.Ref{Addr: base + addr.Virt(i*addr.BasePageSize), Write: true, Gap: gap}); err != nil {
-				return err
-			}
+	for n > 0 {
+		k := m.tick(n)
+		var out []mmu.Result
+		if m.caches != nil {
+			out = m.touched[:k]
 		}
-		return nil
-	}
-	var out []mmu.Result
-	if m.caches != nil {
-		out = m.touched[:n]
-	}
-	if err := m.procs[t].kernel.TouchPages(base, n, out); err != nil {
-		return err
-	}
-	for i := range out {
-		m.price(trace.Ref{Addr: base + addr.Virt(uint64(i)*addr.BasePageSize), Write: true, Gap: gap}, out[i])
+		if err := m.procs[t].kernel.TouchPages(base, k, out); err != nil {
+			return err
+		}
+		for i := range out {
+			m.price(trace.Ref{Addr: base + addr.Virt(uint64(i)*addr.BasePageSize), Write: true, Gap: gap}, out[i])
+		}
+		base += addr.Virt(k * addr.BasePageSize)
+		n -= k
 	}
 	return nil
 }
 
-// functional reports whether the machine does nothing per reference
-// beyond the translation itself: no compaction daemon, no cycle model.
-func (m *machine) functional() bool { return m.opts.CompactEvery == 0 && m.caches == nil }
+// tick grants up to n of the references that follow: as many as may run
+// before the compaction daemon's next tick, which it counts as run. A tick
+// lands before every CompactEvery-th reference, counted across SMT
+// siblings, and when one falls before the next reference the daemon runs
+// first. The reference loops call it once per chunk.
+func (m *machine) tick(n uint64) uint64 {
+	every := m.opts.CompactEvery
+	if every == 0 {
+		return n
+	}
+	phase := (m.refsSeen + 1) % every
+	if phase == 0 {
+		// The incremental daemon defragments, re-homes fragmented
+		// reservations into whole blocks (guided compaction, §IV-B),
+		// then grows pages whose frames became adjacent (merge-aware
+		// compaction, §III-B3).
+		for _, p := range m.procs {
+			p.kernel.Compact()
+			p.kernel.ConsolidateReservations()
+			p.kernel.MergePages()
+		}
+	}
+	n = min(n, every-phase)
+	m.refsSeen += n
+	return n
+}
 
 func (m *machine) mmapAs(t int, size uint64) (addr.Virt, error) {
 	return m.procs[t].kernel.Mmap(size, 0)
 }
 
-// refAs translates thread t's access (faulting as needed), then prices it
-// under each timing scenario.
+// refAs translates thread t's reference (faulting as needed), then prices
+// it under each timing scenario (cycle model only).
 func (m *machine) refAs(t int, r trace.Ref) error {
-	if m.opts.CompactEvery > 0 {
-		m.refsSeen++
-		if m.refsSeen%m.opts.CompactEvery == 0 {
-			// The incremental daemon defragments, re-homes fragmented
-			// reservations into whole blocks (guided compaction,
-			// §IV-B), then grows pages whose frames became adjacent
-			// (merge-aware compaction, §III-B3).
-			for _, p := range m.procs {
-				p.kernel.Compact()
-				p.kernel.ConsolidateReservations()
-				p.kernel.MergePages()
-			}
-		}
-	}
-	// Steady state translates without kernel involvement; the fault and
-	// CoW slow paths live behind Resolve.
-	p := m.procs[t]
-	res, err := p.mmu.Translate(r.Addr, r.Write)
+	res, err := m.procs[t].kernel.Access(r.Addr, r.Write)
 	if err != nil {
-		res, err = p.kernel.Resolve(r.Addr, r.Write, res, err)
-		if err != nil {
-			return err
-		}
+		return err
 	}
 	if m.caches != nil {
 		m.price(r, res)
@@ -694,6 +698,9 @@ func run(w workload.Workload, opts Options, smt smtScheduler) (Result, error) {
 	return m.collect(w, counter), nil
 }
 
+// collect builds the run's Result. Hardware counters cover the main phase
+// (each proc's counters less its snapshot at the boundary) and OS counters
+// the whole run; SMT siblings' counters add up.
 func (m *machine) collect(w workload.Workload, c *trace.CountingSink) Result {
 	m.sampler.flush(m.opts.OnSeries)
 	r := Result{
@@ -704,37 +711,22 @@ func (m *machine) collect(w workload.Workload, c *trace.CountingSink) Result {
 		Instructions: c.Instructions,
 		Census:       make(map[addr.Order]uint64),
 	}
-	var sysMain uint64
+	var main, whole counters
 	for _, p := range m.procs {
-		ms := subMMU(p.mmu.Stats(), p.baseMMU)
-		r.MMU = addMMU(r.MMU, ms)
-		os := p.kernel.Stats()
-		r.OS = addOS(r.OS, os)
+		now := p.counters()
+		whole.add(now, false)
+		main.add(now, false)
+		main.add(p.base, true)
 		for o, n := range p.kernel.PageSizeCensus() {
 			r.Census[o] += n
 		}
 		r.MappedPages += p.kernel.MappedBasePages()
-		r.DemandPages += os.DemandPages
 		r.ReservedPages += p.kernel.ReservedBasePages()
 		r.PTEWrites += p.kernel.Table().Stats().PTEWrites
-		sysMain += os.SysCycles - p.baseOSSys
-		if p.rtlb != nil {
-			rs := p.rtlb.Stats()
-			rs.Lookups -= p.baseRMM.Lookups
-			rs.Hits -= p.baseRMM.Hits
-			rs.TableFills -= p.baseRMM.TableFills
-			rs.TableRefs -= p.baseRMM.TableRefs
-			rs.Misses -= p.baseRMM.Misses
-			r.RMM = addRMM(r.RMM, rs)
-		}
-		if p.coal != nil {
-			cs := p.coal.Stats()
-			cs.Fills -= p.baseCoLT.Fills
-			cs.Coalesced -= p.baseCoLT.Coalesced
-			cs.PagesSpanned -= p.baseCoLT.PagesSpanned
-			r.CoLT = addCoLT(r.CoLT, cs)
-		}
 	}
+	r.MMU, r.RMM, r.CoLT, r.OS = main.MMU, main.RMM, main.CoLT, whole.OS
+	r.DemandPages = whole.OS.DemandPages
+	r.SysCyclesMain = main.OS.SysCycles
 	r.WalkMemRefs = r.MMU.WalkRefs + r.MMU.NestedRefs + r.RMM.TableRefs
 	if c.Instructions > 0 {
 		r.L1MPKI = float64(r.MMU.L1Misses) / (float64(c.Instructions) / 1000)
@@ -746,47 +738,7 @@ func (m *machine) collect(w workload.Workload, c *trace.CountingSink) Result {
 		r.CyclesWarmup = m.cyclesWarmup
 	}
 	r.WalkerCycles = m.walkerCycles - m.baseWalker
-	r.SysCyclesMain = sysMain
 	return r
-}
-
-// addOS sums OS stat blocks (SMT aggregation).
-func addOS(a, b vmm.Stats) vmm.Stats {
-	a.Mmaps += b.Mmaps
-	a.Munmaps += b.Munmaps
-	a.Faults += b.Faults
-	a.DemandPages += b.DemandPages
-	a.Reservations += b.Reservations
-	a.FallbackBlocks += b.FallbackBlocks
-	a.Promotions += b.Promotions
-	a.PageMerges += b.PageMerges
-	a.Compactions += b.Compactions
-	a.RelocatedPages += b.RelocatedPages
-	a.ZeroedPages += b.ZeroedPages
-	a.SysCycles += b.SysCycles
-	a.Cow.Clones += b.Cow.Clones
-	a.Cow.Faults += b.Cow.Faults
-	a.Cow.CopiedPages += b.Cow.CopiedPages
-	a.Cow.SplitPages += b.Cow.SplitPages
-	return a
-}
-
-// addRMM sums Range TLB stat blocks.
-func addRMM(a, b rmm.Stats) rmm.Stats {
-	a.Lookups += b.Lookups
-	a.Hits += b.Hits
-	a.TableFills += b.TableFills
-	a.TableRefs += b.TableRefs
-	a.Misses += b.Misses
-	return a
-}
-
-// addCoLT sums coalescing stat blocks.
-func addCoLT(a, b colt.Stats) colt.Stats {
-	a.Fills += b.Fills
-	a.Coalesced += b.Coalesced
-	a.PagesSpanned += b.PagesSpanned
-	return a
 }
 
 // smtQuantum is the SMT scheduler's turn: it runs this many references of

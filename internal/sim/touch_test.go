@@ -11,6 +11,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -116,9 +117,10 @@ func touchChurn() workload.Workload {
 // machine as Touch events and, through perRef, as per-page references,
 // under every registered scheme on fresh and fragmented memory, at
 // promotion threshold 0.5, without the translation cache, virtualized,
-// with the compaction daemon, with the cycle model (native and
-// virtualized), and under SMT with and without the cycle model. The
-// Results and the references reported through OnRefs must be equal.
+// with the compaction daemon (native and under SMT), with the cycle model
+// (native and virtualized), and under SMT with and without the cycle
+// model. The Results and the references reported through OnRefs must be
+// equal.
 func TestTouchMatchesPerPageRefs(t *testing.T) {
 	variants := []struct {
 		name string
@@ -130,6 +132,7 @@ func TestTouchMatchesPerPageRefs(t *testing.T) {
 		{"no-transcache", func(o *Options) { o.TransCache = -1 }},
 		{"virtualized", func(o *Options) { o.Virtualized = true }},
 		{"compact-every", func(o *Options) { o.CompactEvery = 5000 }},
+		{"smt+compact-every", func(o *Options) { o.SMT, o.CompactEvery = true, 5000 }},
 		{"cycle-model", func(o *Options) { o.CycleModel = true }},
 		{"smt", func(o *Options) { o.SMT = true }},
 		{"smt+cycle-model", func(o *Options) { o.SMT, o.CycleModel = true, true }},
@@ -174,6 +177,78 @@ func TestTouchMatchesPerPageRefs(t *testing.T) {
 					if touchRefs != perRefRefs || touchRefs == 0 {
 						t.Errorf("%s: OnRefs reported %d references, per-page refs %d", w.Name, touchRefs, perRefRefs)
 					}
+				}
+			})
+		}
+	}
+}
+
+// oneRefSink is perRefSink that also flushes the trace.Batcher behind it
+// after every reference, so the machine takes each reference, sweep pages
+// included, as a batch of its own.
+type oneRefSink struct{ perRefSink }
+
+func (s oneRefSink) Ref(r trace.Ref) error {
+	if err := s.Sink.Ref(r); err != nil {
+		return err
+	}
+	return s.Sink.(interface{ Flush() error }).Flush()
+}
+
+// oneRefBatches returns w with every sweep expanded into per-page
+// references and every reference delivered as a batch of one.
+func oneRefBatches(w workload.Workload) workload.Workload {
+	run := w.Run
+	w.Run = func(s trace.Sink, refs uint64, seed int64) error {
+		return run(oneRefSink{perRefSink{s}}, refs, seed)
+	}
+	return w
+}
+
+// TestCompactionDaemonMatchesOneRefBatches holds the compaction daemon's
+// tick, taken once per chunk of references or sweep pages, to the same
+// runs delivered one reference per batch, where the tick is tested before
+// every reference. The intervals sit around the 512-reference chunk and
+// far from it; each runs functional, with the cycle model and under SMT,
+// on fragmented memory. Every run must also compact exactly once per
+// CompactEvery references it ran, warm-up and both SMT siblings included.
+func TestCompactionDaemonMatchesOneRefBatches(t *testing.T) {
+	modes := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"functional", func(*Options) {}},
+		{"cycle-model", func(o *Options) { o.CycleModel = true }},
+		{"smt", func(o *Options) { o.SMT = true }},
+	}
+	for _, every := range []uint64{511, 512, 513, 3001} {
+		for _, mode := range modes {
+			t.Run(fmt.Sprintf("every=%d/%s", every, mode.name), func(t *testing.T) {
+				t.Parallel()
+				var chunked, oneRef uint64
+				opts := Options{Setup: SetupTPS, Refs: 20000, Seed: 7, MemoryPages: 1 << 16, CompactEvery: every,
+					PreFragment: fragstate.PreFragment(fragstate.DefaultParams())}
+				mode.set(&opts)
+				opts.OnRefs = func(n uint64) { chunked += n }
+				got, err := Run(touchChurn(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.OnRefs = func(n uint64) { oneRef += n }
+				want, err := Run(oneRefBatches(touchChurn()), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("chunked ticks diverged from per-reference ticks\nchunked: %+v\none-ref: %+v", got, want)
+				}
+				procs := uint64(1)
+				if opts.SMT {
+					procs = 2
+				}
+				if chunked != oneRef || got.OS.Compactions != chunked/every*procs {
+					t.Errorf("%d references (%d one at a time) ran %d compactions, want %d per process",
+						chunked, oneRef, got.OS.Compactions, chunked/every)
 				}
 			})
 		}
