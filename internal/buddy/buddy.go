@@ -147,6 +147,28 @@ func New(totalPages uint64) *Allocator {
 	return a
 }
 
+// CopyFrom makes a's free and allocated blocks, free-page count and
+// operation counters equal to src's. Nothing is shared with src afterwards,
+// and a keeps its own OnCompact hooks. It panics if the two allocators
+// manage different numbers of frames.
+func (a *Allocator) CopyFrom(src *Allocator) {
+	if a.totalPages != src.totalPages {
+		panic(fmt.Sprintf("buddy: CopyFrom of %d frames into %d", src.totalPages, a.totalPages))
+	}
+	for o := range a.free {
+		a.free[o].copyFrom(&src.free[o])
+		a.allocated[o].copyFrom(&src.allocated[o])
+	}
+	a.freePages = src.freePages
+	a.stats = src.stats
+}
+
+// copyFrom makes s equal to src, a set of the same size, in s's own words.
+func (s *blockSet) copyFrom(src *blockSet) {
+	copy(s.words, src.words)
+	s.count, s.low = src.count, src.low
+}
+
 // TotalPages returns the number of base frames managed.
 func (a *Allocator) TotalPages() uint64 { return a.totalPages }
 

@@ -719,3 +719,77 @@ func TestFreeAndOwnedRejectNonBlocks(t *testing.T) {
 	}
 	diffAllocators(t, "after rejected frees", a, ref)
 }
+
+// churned returns an allocator over n frames after a seeded mix of
+// allocations and frees, with the frames it still holds.
+func churned(n uint64, seed int64) (*Allocator, []addr.PFN) {
+	a := New(n)
+	rng := rand.New(rand.NewSource(seed))
+	var held []addr.PFN
+	for i := 0; i < int(n)/4; i++ {
+		if len(held) > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(len(held))
+			_ = a.Free(held[j])
+			held[j] = held[len(held)-1]
+			held = held[:len(held)-1]
+			continue
+		}
+		if p, err := a.Alloc(addr.Order(rng.Intn(4))); err == nil {
+			held = append(held, p)
+		}
+	}
+	return a, held
+}
+
+func TestCopyFromEqualsSource(t *testing.T) {
+	src, held := churned(1<<12, 5)
+	dst := New(1 << 12)
+	dst.CopyFrom(src)
+	if err := dst.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Stats() != src.Stats() || dst.FreePages() != src.FreePages() ||
+		dst.Snapshot() != src.Snapshot() || dst.Coverage() != src.Coverage() {
+		t.Fatalf("copy differs: stats %+v vs %+v, snapshot %v vs %v",
+			dst.Stats(), src.Stats(), dst.Snapshot(), src.Snapshot())
+	}
+	for _, p := range held {
+		so, _ := src.Owned(p)
+		if do, ok := dst.Owned(p); !ok || do != so {
+			t.Fatalf("block %#x: copy owns (%d, %v), source order %d", p, do, ok, so)
+		}
+	}
+	// The copy shares no bitmap with the source: draining it leaves the
+	// source as it was.
+	before := src.Snapshot()
+	for {
+		if _, err := dst.Alloc(0); err != nil {
+			break
+		}
+	}
+	if src.Snapshot() != before || src.FreePages() == 0 {
+		t.Error("allocating from the copy changed the source")
+	}
+}
+
+func TestCopyFromSizeMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyFrom across sizes did not panic")
+		}
+	}()
+	New(1 << 10).CopyFrom(New(1 << 11))
+}
+
+func TestCopyFromKeepsOwnCompactHooks(t *testing.T) {
+	src, _ := churned(1<<10, 9)
+	var srcCalls, dstCalls int
+	src.OnCompact(func(RelocationSet) { srcCalls++ })
+	dst := New(1 << 10)
+	dst.OnCompact(func(RelocationSet) { dstCalls++ })
+	dst.CopyFrom(src)
+	dst.Compact()
+	if dstCalls != 1 || srcCalls != 0 {
+		t.Errorf("Compact on the copy called its own hook %d times and the source's %d times, want 1 and 0", dstCalls, srcCalls)
+	}
+}

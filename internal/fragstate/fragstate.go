@@ -14,6 +14,7 @@ package fragstate
 
 import (
 	"math/rand"
+	"sync"
 
 	"tps/internal/addr"
 	"tps/internal/buddy"
@@ -46,21 +47,55 @@ func DefaultParams() Params {
 	}
 }
 
-// Fragment churns the allocator into a fragmented steady state: fill
-// memory nearly full with a mix of block sizes, then free a random subset
-// until the target free fraction is reached. The surviving allocations are
-// the resident "server load"; the freed holes form the scattered
-// contiguity TPS can still exploit.
+// snapshots holds one fragmented allocator per key, built by the first
+// Fragment that needs it and never changed afterwards; Fragment copies it.
+var snapshots = struct {
+	sync.Mutex
+	m map[snapshotKey]*buddy.Allocator
+}{m: map[snapshotKey]*buddy.Allocator{}}
+
+// snapshotKey is everything the churn's result depends on.
+type snapshotKey struct {
+	p     Params
+	pages uint64
+}
+
+// Fragment puts a fresh allocator (all memory free, no operation counted)
+// into the fragmented steady state churn builds for p and its size, and
+// panics if a is not fresh. The state depends on nothing else, so each
+// process churns once per (normalized p, frame count) and every later
+// call copies the result, operation counters included.
 func Fragment(a *buddy.Allocator, p Params) {
-	if p.TargetFreeFraction <= 0 || p.TargetFreeFraction >= 1 {
+	if a.FreePages() != a.TotalPages() || a.Stats() != (buddy.Stats{}) {
+		panic("fragstate: Fragment needs a fresh allocator")
+	}
+	if !(p.TargetFreeFraction > 0 && p.TargetFreeFraction < 1) {
 		p.TargetFreeFraction = 0.35
 	}
-	if p.SmallBias <= 0 || p.SmallBias >= 1 {
+	if !(p.SmallBias > 0 && p.SmallBias < 1) {
 		p.SmallBias = 0.5
 	}
 	if p.MaxBlockOrder <= 0 || p.MaxBlockOrder > buddy.MaxOrder {
 		p.MaxBlockOrder = addr.Order2M
 	}
+	k := snapshotKey{p, a.TotalPages()}
+	snapshots.Lock()
+	snap, ok := snapshots.m[k]
+	if !ok {
+		snap = buddy.New(k.pages)
+		churn(snap, p)
+		snapshots.m[k] = snap
+	}
+	snapshots.Unlock()
+	a.CopyFrom(snap)
+}
+
+// churn drives a fresh allocator into a fragmented steady state: fill
+// memory nearly full with a mix of block sizes, then free a random subset
+// until the target free fraction is reached. The surviving allocations are
+// the resident "server load"; the freed holes form the scattered
+// contiguity TPS can still exploit. p must be normalized (see Fragment).
+func churn(a *buddy.Allocator, p Params) {
 	rng := rand.New(rand.NewSource(p.Seed))
 
 	// Fill phase: allocate until nearly full.

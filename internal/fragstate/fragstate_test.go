@@ -1,6 +1,8 @@
 package fragstate
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"tps/internal/addr"
@@ -81,4 +83,139 @@ func TestPreFragmentHook(t *testing.T) {
 	if float64(a.FreePages())/float64(a.TotalPages()) > 0.5 {
 		t.Error("hook did not fragment")
 	}
+}
+
+// churned returns an allocator the churn builds directly, bypassing the
+// snapshot. p must already be normalized.
+func churned(pages uint64, p Params) *buddy.Allocator {
+	a := buddy.New(pages)
+	churn(a, p)
+	return a
+}
+
+// diffAllocators fails t unless got and want hold the same state: counters,
+// free-list population, coverage, a clean invariant check, and the same
+// frame for every step of one allocation sequence (orders 0..9 cycling)
+// until both are full. It consumes both allocators.
+func diffAllocators(t *testing.T, what string, got, want *buddy.Allocator) {
+	t.Helper()
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: stats %+v, churn %+v", what, got.Stats(), want.Stats())
+	}
+	if got.FreePages() != want.FreePages() || got.Snapshot() != want.Snapshot() {
+		t.Fatalf("%s: %d free in %v, churn %d free in %v", what,
+			got.FreePages(), got.Snapshot(), want.FreePages(), want.Snapshot())
+	}
+	if got.Coverage() != want.Coverage() {
+		t.Fatalf("%s: coverage %v, churn %v", what, got.Coverage(), want.Coverage())
+	}
+	for i := 0; got.FreePages() > 0 || want.FreePages() > 0; i++ {
+		o := addr.Order(i % 10)
+		gp, gerr := got.Alloc(o)
+		wp, werr := want.Alloc(o)
+		if gp != wp || (gerr == nil) != (werr == nil) {
+			t.Fatalf("%s: alloc %d (order %d) = %#x, %v; churn %#x, %v", what, i, o, gp, gerr, wp, werr)
+		}
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("%s: after draining, stats %+v, churn %+v", what, got.Stats(), want.Stats())
+	}
+}
+
+func TestFragmentSnapshotDifferentialAgainstChurn(t *testing.T) {
+	other := DefaultParams()
+	other.Seed, other.TargetFreeFraction = 99, 0.5
+	for _, tc := range []struct {
+		name  string
+		p     Params
+		pages uint64
+	}{
+		{"default/1GB", DefaultParams(), 1 << 18},
+		{"default/16GB", DefaultParams(), 1 << 22},
+		{"seed99-free0.5/1GB", other, 1 << 18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Twice: the first call may build the snapshot, the second
+			// must copy it.
+			for _, pass := range []string{"first", "second"} {
+				a := buddy.New(tc.pages)
+				Fragment(a, tc.p)
+				diffAllocators(t, pass, a, churned(tc.pages, tc.p))
+			}
+		})
+	}
+
+	t.Run("aliasing", func(t *testing.T) {
+		p, pages := DefaultParams(), uint64(1<<18)
+		a := buddy.New(pages)
+		Fragment(a, p)
+		pfn, err := a.Alloc(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Alloc(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Free(pfn); err != nil {
+			t.Fatal(err)
+		}
+		a.Compact()
+		b := buddy.New(pages)
+		Fragment(b, p)
+		diffAllocators(t, "restore after using an earlier copy", b, churned(pages, p))
+	})
+
+	t.Run("concurrent-first-use", func(t *testing.T) {
+		// A key no other test uses, so the goroutines race to build it.
+		p := DefaultParams()
+		p.Seed = 4242
+		pages := uint64(1 << 16)
+		got := make([]*buddy.Allocator, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = buddy.New(pages)
+				Fragment(got[i], p)
+			}(i)
+		}
+		wg.Wait()
+		for i, a := range got {
+			diffAllocators(t, fmt.Sprintf("goroutine %d", i), a, churned(pages, p))
+		}
+	})
+
+	t.Run("non-fresh-panics", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			prep func(*buddy.Allocator) error
+		}{
+			{"allocated", func(a *buddy.Allocator) error { _, err := a.Alloc(0); return err }},
+			// All memory free again, but the counters show it was used.
+			{"counted", func(a *buddy.Allocator) error {
+				pfn, err := a.Alloc(0)
+				if err != nil {
+					return err
+				}
+				return a.Free(pfn)
+			}},
+		} {
+			a := buddy.New(1 << 16)
+			if err := tc.prep(a); err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: Fragment did not panic on a used allocator", tc.name)
+					}
+				}()
+				Fragment(a, DefaultParams())
+			}()
+		}
+	})
 }
