@@ -262,7 +262,6 @@ type runKey struct {
 	threshold    float64
 	sizing       vmm.Sizing
 	alias        pagetable.AliasStrategy
-	compactFail  bool
 	levels       int
 	tlbEntries   int
 	skewed       bool
@@ -284,7 +283,6 @@ func (k runKey) options(refs uint64, seed int64, mem uint64) Options {
 		PromotionThreshold: k.threshold,
 		Sizing:             k.sizing,
 		AliasStrategy:      k.alias,
-		CompactOnFailure:   k.compactFail,
 		Levels:             k.levels,
 		TPSTLBEntries:      k.tlbEntries,
 		TPSTLBSkewed:       k.skewed,
@@ -308,11 +306,14 @@ func (k runKey) options(refs uint64, seed int64, mem uint64) Options {
 // the fleet's dedup key too: SpecKey derives the identical fingerprint
 // from a wire-serialized fabric.CellSpec, so a cell computed by any
 // worker lands in the same store slot a local run would use.
+//
+// The literal "cfail=false" names a since-deleted knob; it stays so every
+// existing store key is unchanged.
 func cellFingerprint(refs uint64, seed int64, mem uint64, k runKey) string {
-	return fmt.Sprintf("%s|refs=%d|seed=%d|mem=%d|w=%s|scheme=%s|smt=%t|virt=%t|frag=%t|cyc=%t|thr=%g|sizing=%d|alias=%d|cfail=%t|lvl=%d|tlbe=%d|skew=%t|ce=%d",
+	return fmt.Sprintf("%s|refs=%d|seed=%d|mem=%d|w=%s|scheme=%s|smt=%t|virt=%t|frag=%t|cyc=%t|thr=%g|sizing=%d|alias=%d|cfail=false|lvl=%d|tlbe=%d|skew=%t|ce=%d",
 		SimVersion, refs, seed, mem,
 		k.name, k.setup.SchemeName(), k.smt, k.virt, k.frag, k.cyc,
-		k.threshold, k.sizing, k.alias, k.compactFail,
+		k.threshold, k.sizing, k.alias,
 		k.levels, k.tlbEntries, k.skewed, k.compactEvery)
 }
 

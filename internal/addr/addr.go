@@ -72,9 +72,6 @@ type Order int
 // PageSize returns the page size in bytes for the order.
 func (o Order) PageSize() uint64 { return BasePageSize << uint(o) }
 
-// Shift returns the page-offset width in bits for the order.
-func (o Order) Shift() uint { return BasePageShift + uint(o) }
-
 // Pages returns how many base pages one page of this order spans.
 func (o Order) Pages() uint64 { return 1 << uint(o) }
 

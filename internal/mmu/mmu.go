@@ -80,10 +80,10 @@ type Config struct {
 	TransCache int
 
 	// Virtualized enables two-dimensional nested walk accounting: each
-	// guest page-table reference expands to hostLevels+1 references and
-	// the final guest PA costs hostLevels more (Fig. 2's third case).
+	// guest page-table reference expands to a 4-level host walk plus
+	// itself, and the final guest PA costs one more host walk (Fig. 2's
+	// third case).
 	Virtualized bool
-	HostLevels  int
 }
 
 // DefaultConfig returns the Table I hierarchy for the given organization.
@@ -97,8 +97,7 @@ func DefaultConfig(org Organization) Config {
 		STLBSets:      128, STLBWays: 12,
 		STLB1GSets: 4, STLB1GWays: 4,
 		PWCPDE: 32, PWCPDPTE: 16, PWCPML4: 16,
-		Levels:     addr.Levels4,
-		HostLevels: addr.Levels4,
+		Levels: addr.Levels4,
 	}
 }
 
@@ -176,9 +175,6 @@ type Hardware struct {
 func NewHardware(cfg Config) *Hardware {
 	if cfg.Levels == 0 {
 		cfg.Levels = addr.Levels4
-	}
-	if cfg.HostLevels == 0 {
-		cfg.HostLevels = addr.Levels4
 	}
 	h := &Hardware{cfg: cfg}
 
@@ -449,9 +445,9 @@ func (m *MMU) translateSTLBMissed(v addr.Virt, tvpn addr.VPN, write bool) (Resul
 	}
 	if m.cfg.Virtualized {
 		// Two-dimensional walk: each guest reference requires a nested
-		// host walk (hostLevels refs), and the final guest physical
-		// address needs one more nested translation.
-		nested := uint64(refs)*uint64(m.cfg.HostLevels) + uint64(m.cfg.HostLevels)
+		// 4-level host walk, and the final guest physical address needs
+		// one more nested translation.
+		nested := uint64(refs)*addr.Levels4 + addr.Levels4
 		m.stats.NestedRefs += nested
 	}
 	m.fillPWC(v, res)

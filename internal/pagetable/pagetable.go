@@ -49,13 +49,12 @@ func (s AliasStrategy) String() string {
 
 // Stats counts page-table work, which feeds the OS system-time model.
 type Stats struct {
-	Walks           uint64 // Walk invocations
-	WalkRefs        uint64 // page-table memory references issued by walks
-	AliasExtras     uint64 // extra accesses caused by alias PTEs
-	PTEWrites       uint64 // individual entry writes (true + alias + copies)
-	Nodes           uint64 // page-table pages allocated
-	ADUpdates       uint64 // in-memory A/D bit store operations
-	ADVectorUpdates uint64 // fine-grained bit-vector stores (§III-C1)
+	Walks       uint64 // Walk invocations
+	WalkRefs    uint64 // page-table memory references issued by walks
+	AliasExtras uint64 // extra accesses caused by alias PTEs
+	PTEWrites   uint64 // individual entry writes (true + alias + copies)
+	Nodes       uint64 // page-table pages allocated
+	ADUpdates   uint64 // in-memory A/D bit store operations
 }
 
 // WalkResult describes a completed page walk.
@@ -87,12 +86,6 @@ type Table struct {
 	strategy AliasStrategy
 	root     *node
 	stats    Stats
-
-	// fineAD enables the §III-C1 per-constituent accessed/dirty bit
-	// vectors for tailored pages; adVectors holds them (modeled here,
-	// physically resident in alias-PTE spare bits).
-	fineAD    bool
-	adVectors map[addr.VPN]*adVec
 }
 
 // New creates an empty page table with the given depth (addr.Levels4 or
@@ -215,9 +208,6 @@ func (t *Table) Map(v addr.Virt, pfn addr.PFN, order addr.Order, flags uint64) e
 		}
 		t.stats.PTEWrites++
 	}
-	if tailored {
-		t.trackAD(v.PageNumber(), order)
-	}
 	return nil
 }
 
@@ -237,7 +227,6 @@ func (t *Table) Unmap(v addr.Virt) (addr.VPN, addr.PFN, addr.Order, error) {
 		n.entries[base+uint(i)] = pte.Zero
 		t.stats.PTEWrites++
 	}
-	t.untrackAD(res.VPN)
 	return res.VPN, res.PFN, res.Order, nil
 }
 
@@ -366,11 +355,8 @@ func (t *Table) SetAccessedDirty(v addr.Virt, write bool) (bool, error) {
 		e = e.SetDirty()
 		updated = true
 	}
-	// Fine-grained tracking proceeds in parallel with the page-level
-	// bits and can require a store even when they are already set.
-	vecUpdated := t.fineAD && t.updateADVector(res.VPN, v.PageNumber(), write)
 	if !updated {
-		return vecUpdated, nil
+		return false, nil
 	}
 	n.entries[base] = e
 	t.stats.PTEWrites++

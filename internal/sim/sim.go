@@ -172,7 +172,6 @@ type Options struct {
 	PromotionThreshold float64
 	Sizing             vmm.Sizing
 	AliasStrategy      pagetable.AliasStrategy
-	CompactOnFailure   bool
 
 	// CompactEvery, when nonzero, runs the incremental compaction daemon
 	// every N references: compaction plus merge-aware page growth, the
@@ -407,7 +406,6 @@ func newMachine(opts Options) *machine {
 	}
 	kcfg.Sizing = opts.Sizing
 	kcfg.AliasStrategy = opts.AliasStrategy
-	kcfg.CompactOnFailure = opts.CompactOnFailure
 	if opts.Levels != 0 {
 		kcfg.Levels = opts.Levels
 	}

@@ -119,7 +119,7 @@ func TestTransCacheChurnCompaction(t *testing.T) {
 	for _, setup := range []Setup{SetupTHP, SetupTPS, SetupSvnapot} {
 		opts := Options{
 			Setup: setup, Refs: 60000, Seed: 9, MemoryPages: 1 << 19,
-			CompactEvery: 7000, CompactOnFailure: true,
+			CompactEvery: 7000,
 		}
 		cached, err := Run(w, opts)
 		if err != nil {

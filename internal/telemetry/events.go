@@ -81,14 +81,19 @@ type Event struct {
 }
 
 // ParseEvent decodes one JSONL line strictly: unknown fields are a schema
-// violation, not silently dropped — the round-trip tests and cmd/tpsreport
-// both validate files through this single entry point.
+// violation, not silently dropped, and anything but whitespace after the
+// record (two records that lost their newline) is malformed — the
+// round-trip tests and cmd/tpsreport both validate files through this
+// single entry point.
 func ParseEvent(line []byte) (Event, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var ev Event
 	if err := dec.Decode(&ev); err != nil {
 		return Event{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Event{}, fmt.Errorf("telemetry: trailing data after event")
 	}
 	if ev.Event == "" {
 		return Event{}, fmt.Errorf("telemetry: event line missing \"event\" field")

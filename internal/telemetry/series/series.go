@@ -185,14 +185,6 @@ func (r Record) L1MissRate() float64 {
 	return float64(r.Delta.L1Misses) / float64(r.Delta.Accesses)
 }
 
-// L2MissRate returns the epoch's STLB miss rate among L1 misses.
-func (r Record) L2MissRate() float64 {
-	if r.Delta.L1Misses == 0 {
-		return 0
-	}
-	return float64(r.Delta.L2Misses) / float64(r.Delta.L1Misses)
-}
-
 // MeanWalkDepth returns the epoch's mean page-walk memory references per
 // walk — the walk-elimination signal the paper plots over time.
 func (r Record) MeanWalkDepth() float64 {
@@ -200,15 +192,6 @@ func (r Record) MeanWalkDepth() float64 {
 		return 0
 	}
 	return float64(r.Delta.WalkRefs) / float64(r.Delta.Walks)
-}
-
-// TCServeRate returns the fraction of accesses the translation cache
-// short-circuited this epoch.
-func (r Record) TCServeRate() float64 {
-	if r.Delta.Accesses == 0 {
-		return 0
-	}
-	return float64(r.Delta.TCServes) / float64(r.Delta.Accesses)
 }
 
 // delta differences two cumulative points into an epoch's Counters.
@@ -316,14 +299,18 @@ func (l *Log) Err() error {
 }
 
 // ParseRecord decodes one JSONL line strictly: unknown fields are
-// rejected (schema drift fails loudly, per the telemetry contract) and a
-// record without a scheme or interval is malformed.
+// rejected (schema drift fails loudly, per the telemetry contract), as is
+// trailing data after the record, and a record without a scheme or
+// interval is malformed.
 func ParseRecord(line []byte) (Record, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var rec Record
 	if err := dec.Decode(&rec); err != nil {
 		return Record{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Record{}, fmt.Errorf("series: trailing data after record")
 	}
 	if rec.Scheme == "" {
 		return Record{}, fmt.Errorf("series: record missing scheme")

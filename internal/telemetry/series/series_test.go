@@ -129,6 +129,8 @@ func TestReadRecordsStrict(t *testing.T) {
 		{"missing-scheme", `{"every":100}` + "\n", "line 1"},
 		{"missing-every", `{"scheme":"tps"}` + "\n", "line 1"},
 		{"truncated", string(good) + "\n" + string(good[:20]) + "\n", "line 2"},
+		{"trailing-object", string(good) + "\n" + string(good) + string(good) + "\n", "line 2"},
+		{"trailing-garbage", string(good) + " garbage\n", "line 1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

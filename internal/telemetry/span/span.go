@@ -91,14 +91,18 @@ func NewID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ParseSpan decodes one JSONL line strictly: unknown fields are rejected
-// and a span without trace, id, or kind is malformed.
+// ParseSpan decodes one JSONL line strictly: unknown fields and trailing
+// data after the record are rejected, and a span without trace, id, or
+// kind is malformed.
 func ParseSpan(line []byte) (Span, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	var s Span
 	if err := dec.Decode(&s); err != nil {
 		return Span{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Span{}, fmt.Errorf("span: trailing data after record")
 	}
 	if s.Trace == "" || s.ID == "" || s.Kind == "" {
 		return Span{}, fmt.Errorf("span: record missing trace, id, or kind")

@@ -57,6 +57,8 @@ func TestReadSpansStrict(t *testing.T) {
 		{"unknown-field", good + "\n" + `{"trace":"t","id":"b","kind":"cell","name":"n","start_ns":1,"end_ns":2,"bogus":1}` + "\n", "line 2"},
 		{"missing-id", `{"trace":"t","kind":"run","name":"n","start_ns":1,"end_ns":2}` + "\n", "line 1"},
 		{"truncated", good + "\n" + good[:12] + "\n", "line 2"},
+		{"trailing-object", good + "\n" + good + " " + good + "\n", "line 2"},
+		{"trailing-garbage", good + " garbage\n", "line 1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -58,6 +58,14 @@ func TestEventSchemaRoundTrip(t *testing.T) {
 	if _, err := ParseEvent([]byte(`not json`)); err == nil {
 		t.Error("malformed line accepted")
 	}
+	// Two records that lost their newline are one malformed line, not
+	// the first record with the second silently dropped.
+	if _, err := ParseEvent([]byte(`{"t_ns":1,"event":"finished","cell":"c","worker":0} {"bogus":1}`)); err == nil {
+		t.Error("trailing object accepted")
+	}
+	if _, err := ParseEvent([]byte(`{"t_ns":1,"event":"finished","cell":"c","worker":0} garbage`)); err == nil {
+		t.Error("trailing garbage accepted")
+	}
 }
 
 // TestEventLogAtomicLines: concurrent emitters must never interleave

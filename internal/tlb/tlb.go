@@ -191,11 +191,6 @@ func (t *SetAssoc) Capacity() int { return t.sets * t.ways }
 // Stats implements TLB.
 func (t *SetAssoc) Stats() Stats { return t.stats }
 
-// Single reports whether the TLB holds exactly one page size — the
-// precondition for a tag compare alone identifying a translation (the
-// mmu's translation cache only caches ways of single-size structures).
-func (t *SetAssoc) Single() bool { return t.single }
-
 // WayReady reports whether way w currently holds tag with all `need` flag
 // bits set — the condition under which a Lookup producing this way could
 // be served without any flag-maintenance side effects. Meaningful only

@@ -129,16 +129,9 @@ type Config struct {
 	// Levels is the page-table depth.
 	Levels int
 
-	// CompactOnFailure invokes compaction when a reservation cannot be
-	// satisfied at the desired order (§III-B2).
-	CompactOnFailure bool
-
 	// CowPolicy selects how write faults to shared tailored pages are
 	// resolved (§III-C3): split-and-copy-least or copy-whole-page.
 	CowPolicy CowPolicy
-
-	// VABase is the first virtual address handed out by Mmap.
-	VABase addr.Virt
 
 	Costs Costs
 }
@@ -152,7 +145,6 @@ func DefaultConfig(p Policy) Config {
 		MaxTailoredOrder:   addr.Order1G,
 		AliasStrategy:      pagetable.ExtraLookup,
 		Levels:             addr.Levels4,
-		VABase:             addr.Virt(1) << 40,
 		Costs:              DefaultCosts(),
 	}
 }

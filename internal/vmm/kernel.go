@@ -58,6 +58,9 @@ type vma struct {
 	cowFrames []block
 }
 
+// vaBase is the first virtual address handed out by Mmap.
+const vaBase = addr.Virt(1) << 40
+
 // Kernel is the simulated operating system for one address space.
 type Kernel struct {
 	cfg    Config
@@ -101,14 +104,11 @@ func New(cfg Config, bud *buddy.Allocator) *Kernel {
 	if cfg.MaxTailoredOrder == 0 {
 		cfg.MaxTailoredOrder = addr.Order1G
 	}
-	if cfg.VABase == 0 {
-		cfg.VABase = addr.Virt(1) << 40
-	}
 	k := &Kernel{
 		cfg:    cfg,
 		bud:    bud,
 		table:  pagetable.New(cfg.Levels, cfg.AliasStrategy),
-		nextVA: cfg.VABase,
+		nextVA: vaBase,
 	}
 	k.anyGranule = cfg.PromotionGranules == nil
 	for _, o := range cfg.PromotionGranules {
@@ -317,10 +317,6 @@ func (k *Kernel) reserve(c addr.Chunk) (*reservation, error) {
 	for remaining > 0 {
 		want := addr.LargestOrderFor(vpn, remaining)
 		pfn, err := k.bud.Alloc(want)
-		if err != nil && k.cfg.CompactOnFailure {
-			k.Compact()
-			pfn, err = k.bud.Alloc(want)
-		}
 		got := want
 		if err != nil {
 			// Fragmented: take the largest block available below want.
