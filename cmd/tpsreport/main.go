@@ -49,6 +49,7 @@ type cell struct {
 	workload string
 	setup    string // display label
 	scheme   string // stable registry name
+	variant  string // "" for a plain cell
 	status   string // finished / failed / store-hit / "" (still running at EOF)
 	dur      time.Duration
 	worker   int
@@ -398,6 +399,9 @@ func eventsReport(path string, strict bool, slowest int, allCells bool) int {
 		if ev.Scheme != "" {
 			c.scheme = ev.Scheme
 		}
+		if ev.Variant != "" {
+			c.variant = ev.Variant
+		}
 		return c
 	}
 	var dedup, quarantined, leaseEvents int
@@ -497,7 +501,7 @@ func eventsReport(path string, strict bool, slowest int, allCells bool) int {
 	}
 	tbl := &tps.Table{
 		Title:  title,
-		Header: []string{"workload", "scheme", "status", "wall", "worker", "refs", "cell"},
+		Header: []string{"workload", "scheme", "variant", "status", "wall", "worker", "refs", "cell"},
 	}
 	for _, c := range settled[:n] {
 		status := c.status
@@ -514,7 +518,7 @@ func eventsReport(path string, strict bool, slowest int, allCells bool) int {
 		if scheme == "" {
 			scheme = c.setup
 		}
-		tbl.AddRow(c.workload, scheme, status,
+		tbl.AddRow(c.workload, scheme, c.variant, status,
 			c.dur.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d", c.worker), refs, c.key[:12])
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,7 +115,33 @@ func (e *engine) cellInfo(k runKey) telemetry.CellInfo {
 		Workload: k.name,
 		Setup:    k.setup.String(),
 		Scheme:   k.setup.SchemeName(),
+		Variant:  k.variant(),
 	}
+}
+
+// variant names what sets a cell apart from the plain cell of its workload
+// and scheme: the SMT, virtualized, fragmented and cycle-model switches,
+// then every non-zero ablation knob, joined by "+" ("smt+cyc",
+// "threshold=0.5"). A plain cell's variant is "".
+func (k runKey) variant() string {
+	var parts []string
+	add := func(on bool, name string) {
+		if on {
+			parts = append(parts, name)
+		}
+	}
+	add(k.smt, "smt")
+	add(k.virt, "virt")
+	add(k.frag, "frag")
+	add(k.cyc, "cyc")
+	add(k.threshold != 0, fmt.Sprintf("threshold=%g", k.threshold))
+	add(k.sizing != 0, "sizing="+k.sizing.String())
+	add(k.alias != 0, "alias="+k.alias.String())
+	add(k.levels != 0, fmt.Sprintf("levels=%d", k.levels))
+	add(k.tlbEntries != 0, fmt.Sprintf("tlb-entries=%d", k.tlbEntries))
+	add(k.skewed, "skewed")
+	add(k.compactEvery != 0, fmt.Sprintf("compact-every=%d", k.compactEvery))
+	return strings.Join(parts, "+")
 }
 
 // do returns the cached or in-flight result for key, or executes fn under

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"tps/internal/pagetable"
 	"tps/internal/store"
+	"tps/internal/vmm"
 )
 
 // TestEngineSingleflight: concurrent callers of the same key share one
@@ -628,4 +630,28 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("round trip changed the Result:\nfirst:  %+v\nsecond: %+v", res, again)
 		}
 	})
+}
+
+// TestCellVariant: a cell's telemetry variant names its switches and
+// non-zero ablation knobs, and the plain cell has none.
+func TestCellVariant(t *testing.T) {
+	cases := []struct {
+		key  runKey
+		want string
+	}{
+		{runKey{name: "gcc", setup: SetupTPS}, ""},
+		{runKey{name: "gups", setup: SetupBase4K, smt: true, cyc: true}, "smt+cyc"},
+		{runKey{name: "mcf", setup: SetupTHP, virt: true, frag: true}, "virt+frag"},
+		{runKey{name: "gcc", setup: SetupTPS, threshold: 0.5}, "threshold=0.5"},
+		{runKey{name: "gcc", setup: SetupTPS, alias: pagetable.ExtraLookup}, ""},
+		{runKey{name: "gcc", setup: SetupTPS, frag: true, sizing: vmm.SizingAggressive, alias: pagetable.FullCopy,
+			levels: 5, tlbEntries: 64, skewed: true, compactEvery: 1000},
+			"frag+sizing=aggressive+alias=full-copy+levels=5+tlb-entries=64+skewed+compact-every=1000"},
+	}
+	r := NewRunner(FigureConfig{Seed: 42})
+	for _, c := range cases {
+		if got := r.eng.cellInfo(c.key).Variant; got != c.want {
+			t.Errorf("%+v: variant %q, want %q", c.key, got, c.want)
+		}
+	}
 }

@@ -75,10 +75,25 @@ type WalkResult struct {
 	Alias bool
 }
 
+// node is one page-table page. Its child array is allocated the first
+// time the table gains a child, so leaf (level-0) tables hold only their
+// entries. It is the first field, so the garbage collector scans one word
+// of a table rather than its entries.
 type node struct {
+	children *[addr.SlotsPerTable]*node
 	entries  [addr.SlotsPerTable]pte.Entry
-	children [addr.SlotsPerTable]*node
 }
+
+// child returns the table below slot idx, or nil.
+func (n *node) child(idx uint) *node {
+	if n.children == nil {
+		return nil
+	}
+	return n.children[idx]
+}
+
+// leafShift is log2 of the span of one leaf table: 2 MB.
+const leafShift = addr.BasePageShift + addr.LevelBits
 
 // Table is one address space's page table.
 type Table struct {
@@ -86,6 +101,16 @@ type Table struct {
 	strategy AliasStrategy
 	root     *node
 	stats    Stats
+
+	// leaf is the last level-0 table a descent reached and leafTag the
+	// 2 MB region it maps (v >> leafShift). Descents for that region start
+	// there. A reachable leaf table has no present entry above it (Map
+	// neither installs one over a live child nor descends past one), so a
+	// descent from the root would read one non-present entry per upper
+	// level to get to it. Only Map at level 1 or 2 drops child tables from
+	// the tree, and it clears leaf.
+	leaf    *node
+	leafTag uint64
 }
 
 // New creates an empty page table with the given depth (addr.Levels4 or
@@ -124,31 +149,67 @@ func leafLevel(order addr.Order) (level int, slots uint64) {
 }
 
 // descend returns the child table at the given level index, allocating it
-// if create is set.
-func (t *Table) descend(n *node, idx uint, create bool) *node {
-	if n.children[idx] == nil && create {
-		n.children[idx] = &node{}
+// (and the parent's child array) if needed.
+func (t *Table) descend(n *node, idx uint) *node {
+	if n.children == nil {
+		n.children = new([addr.SlotsPerTable]*node)
+	}
+	c := n.children[idx]
+	if c == nil {
+		c = &node{}
+		n.children[idx] = c
 		t.stats.Nodes++
 	}
-	return n.children[idx]
+	return c
 }
 
-// tableFor walks down to the table holding the leaf entries for a page of
-// the given order starting at v, allocating intermediate tables as needed.
-func (t *Table) tableFor(v addr.Virt, level int, create bool) *node {
-	n := t.root
-	for lvl := t.levels - 1; lvl > level; lvl-- {
-		n = t.descend(n, v.TableIndex(lvl), create)
-		if n == nil {
-			return nil
-		}
+// seek descends toward v from the memoised leaf table when v lies in its
+// region, else from the root. It stops at the first level whose entry for
+// v is present or has no table below it, and returns that table and level:
+// a descent from the root reads one entry per level down to it.
+func (t *Table) seek(v addr.Virt) (*node, int) {
+	if t.leaf != nil && uint64(v)>>leafShift == t.leafTag {
+		return t.leaf, 0
 	}
-	return n
+	n := t.root
+	for lvl := t.levels - 1; lvl > 0; lvl-- {
+		idx := v.TableIndex(lvl)
+		c := n.child(idx)
+		if c == nil || n.entries[idx].Present() {
+			return n, lvl
+		}
+		n = c
+	}
+	t.leaf, t.leafTag = n, uint64(v)>>leafShift
+	return n, 0
+}
+
+// tableFor returns the table holding the leaf entries for a page of the
+// given order starting at v, allocating tables on the way as needed. It
+// refuses to pass a present entry: a page inside a larger mapped page
+// would be shadowed by it.
+func (t *Table) tableFor(v addr.Virt, level int) (*node, error) {
+	n, lvl := t.root, t.levels-1
+	if level == 0 {
+		n, lvl = t.seek(v)
+	}
+	for ; lvl > level; lvl-- {
+		idx := v.TableIndex(lvl)
+		if n.entries[idx].Present() {
+			return nil, fmt.Errorf("pagetable: virt %#x lies inside a page mapped at level %d", uint64(v), lvl)
+		}
+		n = t.descend(n, idx)
+	}
+	if level == 0 {
+		t.leaf, t.leafTag = n, uint64(v)>>leafShift
+	}
+	return n, nil
 }
 
 // Map installs a mapping of the given order for the page containing v.
-// v and pfn must be order-aligned. Installing over any present slot is an
-// error: the OS must unmap first (promotion does exactly that).
+// v and pfn must be order-aligned. Installing over any present slot, or
+// inside a larger mapped page, is an error: the OS must unmap first
+// (promotion does exactly that).
 func (t *Table) Map(v addr.Virt, pfn addr.PFN, order addr.Order, flags uint64) error {
 	if !order.Valid() {
 		return fmt.Errorf("pagetable: invalid order %d", order)
@@ -160,7 +221,10 @@ func (t *Table) Map(v addr.Virt, pfn addr.PFN, order addr.Order, flags uint64) e
 		return fmt.Errorf("pagetable: frame %#x not aligned to %v", uint64(pfn), order)
 	}
 	level, slots := leafLevel(order)
-	n := t.tableFor(v, level, true)
+	n, err := t.tableFor(v, level)
+	if err != nil {
+		return err
+	}
 	base := v.TableIndex(level)
 
 	// Reject conflicts before writing anything. A child table emptied by
@@ -171,18 +235,23 @@ func (t *Table) Map(v addr.Virt, pfn addr.PFN, order addr.Order, flags uint64) e
 		if n.entries[idx].Present() {
 			return fmt.Errorf("pagetable: slot %d at level %d already mapped", idx, level)
 		}
-		if c := n.children[idx]; c != nil {
+		if c := n.child(idx); c != nil {
 			if !subtreeEmpty(c) {
 				return fmt.Errorf("pagetable: slot %d at level %d has live child mappings", idx, level)
 			}
 		}
 	}
-	for i := uint64(0); i < slots; i++ {
-		n.children[base+uint(i)] = nil
+	if n.children != nil {
+		for i := uint64(0); i < slots; i++ {
+			n.children[base+uint(i)] = nil
+		}
+	}
+	if level > 0 {
+		// The pruned tables may include the memoised leaf table.
+		t.leaf = nil
 	}
 
 	var entry pte.Entry
-	var err error
 	tailored := slots > 1 || (order > 0 && order != addr.Order2M && order != addr.Order1G)
 	if tailored {
 		entry, err = pte.MakeTailored(pfn, order, flags)
@@ -215,52 +284,43 @@ func (t *Table) Map(v addr.Virt, pfn addr.PFN, order addr.Order, flags uint64) e
 // It returns the removed mapping's first VPN, frame, and order so the OS
 // can release physical memory and shoot down TLBs.
 func (t *Table) Unmap(v addr.Virt) (addr.VPN, addr.PFN, addr.Order, error) {
-	res, err := t.lookup(v)
+	n, slot, res, err := t.find(v)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	level, slots := leafLevel(res.Order)
-	start := res.VPN.Addr()
-	n := t.tableFor(start, level, false)
-	base := start.TableIndex(level)
+	_, slots := leafLevel(res.Order)
 	for i := uint64(0); i < slots; i++ {
-		n.entries[base+uint(i)] = pte.Zero
+		n.entries[slot+uint(i)] = pte.Zero
 		t.stats.PTEWrites++
 	}
 	return res.VPN, res.PFN, res.Order, nil
 }
 
-// lookup finds the true leaf entry covering v without counting a walk.
-func (t *Table) lookup(v addr.Virt) (WalkResult, error) {
-	n := t.root
-	for lvl := t.levels - 1; lvl >= 0; lvl-- {
-		idx := v.TableIndex(lvl)
-		e := n.entries[idx]
-		if e.Present() {
-			order := e.Order(lvl)
-			if e.Alias() && t.strategy == ExtraLookup {
-				// Alias slots span a single table, so the true PTE lives
-				// in this same node at the page-aligned index.
-				trueV := v.AlignDown(order)
-				e = n.entries[trueV.TableIndex(lvl)]
-				if !e.Present() || e.Alias() {
-					return WalkResult{}, fmt.Errorf("pagetable: dangling alias at %#x", uint64(v))
-				}
-			}
-			return WalkResult{
-				VPN:   v.AlignDown(order).PageNumber(),
-				PFN:   e.PFN(lvl),
-				Order: order,
-				Flags: uint64(e) & (pte.FlagWrite | pte.FlagUser | pte.FlagNX | pte.FlagAccessed | pte.FlagDirty),
-				Level: lvl,
-			}, nil
-		}
-		if n.children[idx] == nil {
-			return WalkResult{}, ErrNotMapped
-		}
-		n = n.children[idx]
+// find returns the true leaf entry covering v without counting a walk,
+// with the table that holds it and its slot. Alias slots span a single
+// table, so the true PTE lives in the table where the descent ended, at
+// the page-aligned index.
+func (t *Table) find(v addr.Virt) (*node, uint, WalkResult, error) {
+	n, lvl := t.seek(v)
+	e := n.entries[v.TableIndex(lvl)]
+	if !e.Present() {
+		return nil, 0, WalkResult{}, ErrNotMapped
 	}
-	return WalkResult{}, ErrNotMapped
+	order := e.Order(lvl)
+	slot := v.AlignDown(order).TableIndex(lvl)
+	if e.Alias() && t.strategy == ExtraLookup {
+		e = n.entries[slot]
+		if !e.Present() || e.Alias() {
+			return nil, 0, WalkResult{}, fmt.Errorf("pagetable: dangling alias at %#x", uint64(v))
+		}
+	}
+	return n, slot, WalkResult{
+		VPN:   v.AlignDown(order).PageNumber(),
+		PFN:   e.PFN(lvl),
+		Order: order,
+		Flags: uint64(e) & (pte.FlagWrite | pte.FlagUser | pte.FlagNX | pte.FlagAccessed | pte.FlagDirty),
+		Level: lvl,
+	}, nil
 }
 
 // ErrNotMapped is returned when no present mapping covers the address.
@@ -269,11 +329,11 @@ var ErrNotMapped = fmt.Errorf("pagetable: address not mapped")
 // subtreeEmpty reports whether a table and all its descendants hold no
 // present entries.
 func subtreeEmpty(n *node) bool {
-	for i := 0; i < addr.SlotsPerTable; i++ {
+	for i := uint(0); i < addr.SlotsPerTable; i++ {
 		if n.entries[i].Present() {
 			return false
 		}
-		if c := n.children[i]; c != nil && !subtreeEmpty(c) {
+		if c := n.child(i); c != nil && !subtreeEmpty(c) {
 			return false
 		}
 	}
@@ -282,7 +342,10 @@ func subtreeEmpty(n *node) bool {
 
 // Lookup returns the mapping covering v without performing (or counting) a
 // hardware walk. The OS uses it for bookkeeping.
-func (t *Table) Lookup(v addr.Virt) (WalkResult, error) { return t.lookup(v) }
+func (t *Table) Lookup(v addr.Virt) (WalkResult, error) {
+	_, _, res, err := t.find(v)
+	return res, err
+}
 
 // Walk performs a hardware page walk for v, counting one memory reference
 // per level touched plus the alias extra access when the leaf is an alias
@@ -291,45 +354,49 @@ func (t *Table) Lookup(v addr.Virt) (WalkResult, error) { return t.lookup(v) }
 // itself reports the uncached count.
 func (t *Table) Walk(v addr.Virt) (WalkResult, error) {
 	t.stats.Walks++
-	refs := 0
-	n := t.root
-	for lvl := t.levels - 1; lvl >= 0; lvl-- {
-		idx := v.TableIndex(lvl)
-		refs++ // reading this level's entry
-		e := n.entries[idx]
-		if e.Present() {
-			order := e.Order(lvl)
-			alias := e.Alias()
-			if alias && t.strategy == ExtraLookup {
-				// One more access with the page-offset bits zeroed: fetch
-				// the true PTE at the page-aligned virtual address.
-				refs++
-				t.stats.AliasExtras++
-				trueV := v.AlignDown(order)
-				e = n.entries[trueV.TableIndex(lvl)]
-				if !e.Present() || e.Alias() {
-					return WalkResult{}, fmt.Errorf("pagetable: dangling alias at %#x", uint64(v))
-				}
-			}
-			t.stats.WalkRefs += uint64(refs)
-			return WalkResult{
-				VPN:     v.AlignDown(order).PageNumber(),
-				PFN:     e.PFN(lvl),
-				Order:   order,
-				Flags:   uint64(e) & (pte.FlagWrite | pte.FlagUser | pte.FlagNX | pte.FlagAccessed | pte.FlagDirty),
-				MemRefs: refs,
-				Level:   lvl,
-				Alias:   alias,
-			}, nil
+	n, lvl := t.seek(v)
+	refs := t.levels - lvl
+	e := n.entries[v.TableIndex(lvl)]
+	if !e.Present() {
+		t.stats.WalkRefs += uint64(refs)
+		return WalkResult{MemRefs: refs}, ErrNotMapped
+	}
+	order := e.Order(lvl)
+	alias := e.Alias()
+	if alias && t.strategy == ExtraLookup {
+		// One more access with the page-offset bits zeroed: fetch the true
+		// PTE at the page-aligned virtual address.
+		refs++
+		t.stats.AliasExtras++
+		e = n.entries[v.AlignDown(order).TableIndex(lvl)]
+		if !e.Present() || e.Alias() {
+			return WalkResult{}, fmt.Errorf("pagetable: dangling alias at %#x", uint64(v))
 		}
-		if n.children[idx] == nil {
-			t.stats.WalkRefs += uint64(refs)
-			return WalkResult{MemRefs: refs}, ErrNotMapped
-		}
-		n = n.children[idx]
 	}
 	t.stats.WalkRefs += uint64(refs)
-	return WalkResult{MemRefs: refs}, ErrNotMapped
+	return WalkResult{
+		VPN:     v.AlignDown(order).PageNumber(),
+		PFN:     e.PFN(lvl),
+		Order:   order,
+		Flags:   uint64(e) & (pte.FlagWrite | pte.FlagUser | pte.FlagNX | pte.FlagAccessed | pte.FlagDirty),
+		MemRefs: refs,
+		Level:   lvl,
+		Alias:   alias,
+	}, nil
+}
+
+// store writes e as the true PTE in slot of n, a page of the given order;
+// under FullCopy it refreshes every copy as well.
+func (t *Table) store(n *node, slot uint, order addr.Order, e pte.Entry) {
+	n.entries[slot] = e
+	t.stats.PTEWrites++
+	if t.strategy == FullCopy {
+		_, slots := leafLevel(order)
+		for i := uint64(1); i < slots; i++ {
+			n.entries[slot+uint(i)] = e | pte.Entry(pte.FlagAlias)
+			t.stats.PTEWrites++
+		}
+	}
 }
 
 // SetAccessedDirty sets the A (and for writes, D) bit of the true PTE
@@ -337,15 +404,11 @@ func (t *Table) Walk(v addr.Virt) (WalkResult, error) {
 // (i.e. a bit was newly set) — the sticky behaviour §III-C1 relies on.
 // Under FullCopy, the update must touch every spanned slot.
 func (t *Table) SetAccessedDirty(v addr.Virt, write bool) (bool, error) {
-	res, err := t.lookup(v)
+	n, slot, res, err := t.find(v)
 	if err != nil {
 		return false, err
 	}
-	level, slots := leafLevel(res.Order)
-	start := res.VPN.Addr()
-	n := t.tableFor(start, level, false)
-	base := start.TableIndex(level)
-	e := n.entries[base]
+	e := n.entries[slot]
 	updated := false
 	if !e.Accessed() {
 		e = e.SetAccessed()
@@ -358,15 +421,8 @@ func (t *Table) SetAccessedDirty(v addr.Virt, write bool) (bool, error) {
 	if !updated {
 		return false, nil
 	}
-	n.entries[base] = e
-	t.stats.PTEWrites++
 	t.stats.ADUpdates++
-	if t.strategy == FullCopy {
-		for i := uint64(1); i < slots; i++ {
-			n.entries[base+uint(i)] = e | pte.Entry(pte.FlagAlias)
-			t.stats.PTEWrites++
-		}
-	}
+	t.store(n, slot, res.Order, e)
 	return true, nil
 }
 
@@ -374,51 +430,27 @@ func (t *Table) SetAccessedDirty(v addr.Virt, write bool) (bool, error) {
 // copy-on-write downgrades). Under FullCopy all spanned slots are updated;
 // under ExtraLookup only the true PTE carries permissions.
 func (t *Table) Protect(v addr.Virt, flags uint64) error {
-	res, err := t.lookup(v)
+	n, slot, res, err := t.find(v)
 	if err != nil {
 		return err
 	}
-	level, slots := leafLevel(res.Order)
-	start := res.VPN.Addr()
-	n := t.tableFor(start, level, false)
-	base := start.TableIndex(level)
-	e := n.entries[base]
 	const permMask = pte.FlagWrite | pte.FlagUser | pte.FlagNX
-	ne := pte.Entry((uint64(e) &^ permMask) | (flags & permMask))
-	n.entries[base] = ne
-	t.stats.PTEWrites++
-	if t.strategy == FullCopy {
-		for i := uint64(1); i < slots; i++ {
-			n.entries[base+uint(i)] = ne | pte.Entry(pte.FlagAlias)
-			t.stats.PTEWrites++
-		}
-	}
+	t.store(n, slot, res.Order, pte.Entry((uint64(n.entries[slot])&^permMask)|(flags&permMask)))
 	return nil
 }
 
 // Relocate rewrites the frame number of the page covering v (compaction
 // migration). The new frame must be order-aligned.
 func (t *Table) Relocate(v addr.Virt, newPFN addr.PFN) error {
-	res, err := t.lookup(v)
+	n, slot, res, err := t.find(v)
 	if err != nil {
 		return err
 	}
-	level, slots := leafLevel(res.Order)
-	start := res.VPN.Addr()
-	n := t.tableFor(start, level, false)
-	base := start.TableIndex(level)
-	ne, err := n.entries[base].WithPFN(newPFN, level)
+	ne, err := n.entries[slot].WithPFN(newPFN, res.Level)
 	if err != nil {
 		return err
 	}
-	n.entries[base] = ne
-	t.stats.PTEWrites++
-	if t.strategy == FullCopy {
-		for i := uint64(1); i < slots; i++ {
-			n.entries[base+uint(i)] = ne | pte.Entry(pte.FlagAlias)
-			t.stats.PTEWrites++
-		}
-	}
+	t.store(n, slot, res.Order, ne)
 	return nil
 }
 
@@ -430,14 +462,14 @@ func (t *Table) MappedPages(fn func(addr.VPN, addr.PFN, addr.Order, uint64)) {
 
 func (t *Table) visit(n *node, lvl int, prefix addr.Virt, fn func(addr.VPN, addr.PFN, addr.Order, uint64)) {
 	shift := uint(addr.BasePageShift + lvl*addr.LevelBits)
-	for idx := 0; idx < addr.SlotsPerTable; idx++ {
+	for idx := uint(0); idx < addr.SlotsPerTable; idx++ {
 		va := prefix | addr.Virt(uint64(idx)<<shift)
 		e := n.entries[idx]
 		if e.Present() && !e.Alias() {
 			fn(va.PageNumber(), e.PFN(lvl), e.Order(lvl), uint64(e))
 		}
-		if n.children[idx] != nil {
-			t.visit(n.children[idx], lvl-1, va, fn)
+		if c := n.child(idx); c != nil {
+			t.visit(c, lvl-1, va, fn)
 		}
 	}
 }

@@ -548,3 +548,65 @@ func TestRandomOpsShadow(t *testing.T) {
 		})
 	}
 }
+
+// A page inside a larger mapped page would be shadowed by it: Map must
+// reject it without building a table under the larger page's entry.
+func TestMapInsideLargerPageRejected(t *testing.T) {
+	const gig = addr.Virt(1) << 30
+	cases := []struct {
+		name  string
+		outer addr.Order
+		inner addr.Order
+		off   addr.Virt // inner page's offset into the outer page
+	}{
+		{"4K-in-2M", addr.Order2M, 0, 5 * addr.BasePageSize},
+		{"32K-in-2M", addr.Order2M, 3, 8 * addr.BasePageSize},
+		{"4K-in-1G", addr.Order1G, 0, 5 * addr.BasePageSize},
+		{"32K-in-1G", addr.Order1G, 3, 3<<21 + 8*addr.BasePageSize},
+		{"4M-in-1G", addr.Order1G, 10, 4 << 21},
+	}
+	for _, strat := range []AliasStrategy{ExtraLookup, FullCopy} {
+		for _, tc := range cases {
+			t.Run(strat.String()+"/"+tc.name, func(t *testing.T) {
+				pt := New(addr.Levels4, strat)
+				if err := pt.Map(gig, addr.PFN(1)<<18, tc.outer, pte.FlagWrite); err != nil {
+					t.Fatal(err)
+				}
+				v := gig + tc.off
+				before, err := pt.Walk(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes := pt.Stats().Nodes
+				if err := pt.Map(v, addr.PFN(1)<<20, tc.inner, 0); err == nil {
+					t.Fatalf("%v page at %#x inside a %v page accepted", tc.inner, uint64(v), tc.outer)
+				}
+				if got := pt.Stats().Nodes; got != nodes {
+					t.Errorf("rejected Map built tables: Nodes %d -> %d", nodes, got)
+				}
+				if after, err := pt.Walk(v); err != nil || after != before {
+					t.Errorf("Walk after rejected Map = %+v, %v; want %+v", after, err, before)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFirstTouch runs the page-table side of a first touch — the
+// failed walk, the map, the retry walk and the A/D update — for each 4 KB
+// page of four leaf tables, starting over on an empty table.
+func BenchmarkFirstTouch(b *testing.B) {
+	const pages = 4 * addr.SlotsPerTable
+	var pt *Table
+	for i := 0; i < b.N; i++ {
+		p := i % pages
+		if p == 0 {
+			pt = New(addr.Levels4, ExtraLookup)
+		}
+		v := addr.Virt(1)<<30 + addr.Virt(p)<<addr.BasePageShift
+		pt.Walk(v)
+		pt.Map(v, addr.PFN(p), 0, pte.FlagWrite)
+		pt.Walk(v)
+		pt.SetAccessedDirty(v, true)
+	}
+}

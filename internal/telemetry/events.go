@@ -69,8 +69,9 @@ type Event struct {
 	Event    string    `json:"event"`
 	Cell     string    `json:"cell"`
 	Workload string    `json:"workload,omitempty"`
-	Setup    string    `json:"setup,omitempty"`  // display label
-	Scheme   string    `json:"scheme,omitempty"` // stable registry name
+	Setup    string    `json:"setup,omitempty"`   // display label
+	Scheme   string    `json:"scheme,omitempty"`  // stable registry name
+	Variant  string    `json:"variant,omitempty"` // cell variant ("smt+cyc"); "" for a plain cell
 	Worker   int       `json:"worker"`
 	Origin   string    `json:"origin,omitempty"`   // fleet worker name (tpsworker/tpsfarm)
 	Gen      uint64    `json:"gen,omitempty"`      // lease generation (fleet events)

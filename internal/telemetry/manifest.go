@@ -23,8 +23,9 @@ const (
 type CellRecord struct {
 	Cell     string  `json:"cell"`
 	Workload string  `json:"workload"`
-	Setup    string  `json:"setup"`            // display label
-	Scheme   string  `json:"scheme,omitempty"` // stable registry name
+	Setup    string  `json:"setup"`             // display label
+	Scheme   string  `json:"scheme,omitempty"`  // stable registry name
+	Variant  string  `json:"variant,omitempty"` // cell variant ("smt+cyc"); "" for a plain cell
 	Status   string  `json:"status"`
 	WallS    float64 `json:"wall_s"`
 	Refs     uint64  `json:"refs,omitempty"`

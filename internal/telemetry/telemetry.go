@@ -25,17 +25,32 @@ import (
 // CellInfo identifies one simulation cell across events and manifest
 // records: the content address its result has in the store (a hex
 // SHA-256 of the full cell fingerprint), the human-readable
-// workload/setup pair, and the stable scheme-registry name the cell is
-// keyed by. Ablation variants share workload/setup labels but never keys.
+// workload/setup pair, the stable scheme-registry name the cell is keyed
+// by, and its variant. Ablation variants share workload/setup labels but
+// never keys.
 type CellInfo struct {
 	Key      string
 	Workload string
 	Setup    string // display label ("TPS")
 	Scheme   string // stable registry name ("tps")
+	Variant  string // what sets the cell apart from the plain one ("smt+cyc"); "" for a plain cell
 	Gen      uint64 // lease generation, when the cell runs under a fleet lease
 }
 
 func (ci CellInfo) label() string { return ci.Workload + "/" + ci.Setup }
+
+// event returns the cell's lifecycle event of the given kind on a worker
+// slot (-1: none).
+func (ci CellInfo) event(kind string, slot int) Event {
+	return Event{Event: kind, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup,
+		Scheme: ci.Scheme, Variant: ci.Variant, Gen: ci.Gen, Worker: slot}
+}
+
+// record returns the cell's manifest record with the given status.
+func (ci CellInfo) record(status string) CellRecord {
+	return CellRecord{Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup,
+		Scheme: ci.Scheme, Variant: ci.Variant, Status: status}
+}
 
 // worker is one engine worker slot's live state. The refs counter is the
 // only value touched from the simulation loop (one atomic add per batch);
@@ -156,7 +171,7 @@ func (r *Recorder) CellQueued(ci CellInfo) {
 		return
 	}
 	r.cellsQueued.Add(1)
-	r.emit(Event{Event: EventQueued, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Gen: ci.Gen, Worker: -1})
+	r.emit(ci.event(EventQueued, -1))
 }
 
 // CellDedupJoined records a caller attaching to an existing flight
@@ -166,7 +181,7 @@ func (r *Recorder) CellDedupJoined(ci CellInfo) {
 		return
 	}
 	r.dedupJoined.Add(1)
-	r.emit(Event{Event: EventDedupJoined, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Gen: ci.Gen, Worker: -1})
+	r.emit(ci.event(EventDedupJoined, -1))
 }
 
 // CellStoreHit records a cell settled by replaying a persisted result.
@@ -177,9 +192,10 @@ func (r *Recorder) CellStoreHit(ci CellInfo, slot int) {
 	r.storeHits.Add(1)
 	r.cellsDone.Add(1)
 	now := r.sinceStart()
-	r.emit(Event{Event: EventStoreHit, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Gen: ci.Gen, Worker: slot})
-	r.recordCell(CellRecord{Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Status: StatusStoreHit,
-		TStartNS: now, TEndNS: now})
+	r.emit(ci.event(EventStoreHit, slot))
+	rec := ci.record(StatusStoreHit)
+	rec.TStartNS, rec.TEndNS = now, now
+	r.recordCell(rec)
 }
 
 // CellStoreMiss counts a store consultation that found nothing (the cell
@@ -203,7 +219,7 @@ func (r *Recorder) CellStarted(ci CellInfo, slot int) {
 		w.since = time.Now()
 		w.mu.Unlock()
 	}
-	r.emit(Event{Event: EventStarted, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Gen: ci.Gen, Worker: slot})
+	r.emit(ci.event(EventStarted, slot))
 }
 
 // CellRetried records one backoff re-run of a transiently failing cell.
@@ -212,7 +228,9 @@ func (r *Recorder) CellRetried(ci CellInfo, slot, attempt int) {
 		return
 	}
 	r.retries.Add(1)
-	r.emit(Event{Event: EventRetried, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Gen: ci.Gen, Worker: slot, Attempt: attempt})
+	ev := ci.event(EventRetried, slot)
+	ev.Attempt = attempt
+	r.emit(ev)
 }
 
 // CellFinished settles a computed cell: frees its worker slot, folds its
@@ -226,11 +244,13 @@ func (r *Recorder) CellFinished(ci CellInfo, slot int, d time.Duration, c Counte
 	r.cellsDone.Add(1)
 	r.observeDuration(d)
 	end := r.sinceStart()
-	r.emit(Event{Event: EventFinished, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Gen: ci.Gen,
-		Worker: slot, DurNS: d.Nanoseconds(), Counters: &c})
-	r.recordCell(CellRecord{Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme,
-		Status: StatusOK, WallS: d.Seconds(), Refs: c.Refs,
-		TStartNS: end - d.Nanoseconds(), TEndNS: end})
+	ev := ci.event(EventFinished, slot)
+	ev.DurNS, ev.Counters = d.Nanoseconds(), &c
+	r.emit(ev)
+	rec := ci.record(StatusOK)
+	rec.WallS, rec.Refs = d.Seconds(), c.Refs
+	rec.TStartNS, rec.TEndNS = end-d.Nanoseconds(), end
+	r.recordCell(rec)
 }
 
 // CellFailed settles a failed cell (error, panic, timeout, cancellation).
@@ -242,11 +262,13 @@ func (r *Recorder) CellFailed(ci CellInfo, slot int, d time.Duration, err error)
 	r.cellsFailed.Add(1)
 	r.observeDuration(d)
 	end := r.sinceStart()
-	r.emit(Event{Event: EventFailed, Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme, Gen: ci.Gen,
-		Worker: slot, DurNS: d.Nanoseconds(), Error: err.Error()})
-	r.recordCell(CellRecord{Cell: ci.Key, Workload: ci.Workload, Setup: ci.Setup, Scheme: ci.Scheme,
-		Status: StatusFailed, WallS: d.Seconds(), Error: err.Error(),
-		TStartNS: end - d.Nanoseconds(), TEndNS: end})
+	ev := ci.event(EventFailed, slot)
+	ev.DurNS, ev.Error = d.Nanoseconds(), err.Error()
+	r.emit(ev)
+	rec := ci.record(StatusFailed)
+	rec.WallS, rec.Error = d.Seconds(), err.Error()
+	rec.TStartNS, rec.TEndNS = end-d.Nanoseconds(), end
+	r.recordCell(rec)
 }
 
 // StoreQuarantined is the result store's corruption hook: a corrupt entry

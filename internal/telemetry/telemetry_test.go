@@ -24,12 +24,12 @@ func TestEventSchemaRoundTrip(t *testing.T) {
 		{TNS: 1, Event: EventQueued, Cell: "abc123", Workload: "gups", Setup: "TPS", Worker: -1},
 		{TNS: 2, Event: EventDedupJoined, Cell: "abc123", Workload: "gups", Setup: "TPS", Worker: -1},
 		{TNS: 3, Event: EventStoreHit, Cell: "abc123", Workload: "gups", Setup: "TPS", Worker: 2},
-		{TNS: 4, Event: EventStarted, Cell: "def456", Workload: "mcf", Setup: "THP", Worker: 0},
+		{TNS: 4, Event: EventStarted, Cell: "def456", Workload: "mcf", Setup: "THP", Variant: "smt+cyc", Worker: 0},
 		{TNS: 5, Event: EventRetried, Cell: "def456", Workload: "mcf", Setup: "THP", Worker: 0, Attempt: 1},
 		{TNS: 6, Event: EventQuarantined, Cell: "def456", Worker: -1},
 		{TNS: 7, Event: EventFailed, Cell: "def456", Workload: "mcf", Setup: "THP", Worker: 0,
 			DurNS: 12345, Error: "boom"},
-		{TNS: 8, Event: EventFinished, Cell: "abc999", Workload: "gups", Setup: "TPS", Worker: 3,
+		{TNS: 8, Event: EventFinished, Cell: "abc999", Workload: "gups", Setup: "TPS", Variant: "threshold=0.5", Worker: 3,
 			DurNS: 99999, Counters: &Counters{
 				Refs: 1 << 20, L1Hits: 9, L1Misses: 8, L2Hits: 7, L2Misses: 6,
 				WalkMemRefs: 5, AliasExtras: 4,
@@ -141,7 +141,7 @@ func TestRecorderLifecycle(t *testing.T) {
 
 	a := CellInfo{Key: "aaa", Workload: "gups", Setup: "TPS"}
 	b := CellInfo{Key: "bbb", Workload: "gups", Setup: "THP"}
-	c := CellInfo{Key: "ccc", Workload: "mcf", Setup: "TPS"}
+	c := CellInfo{Key: "ccc", Workload: "mcf", Setup: "TPS", Variant: "smt+cyc"}
 
 	rec.CellQueued(a)
 	rec.CellStarted(a, 0)
@@ -228,6 +228,17 @@ func TestRecorderLifecycle(t *testing.T) {
 	if m.Cells[2].Error != "boom" {
 		t.Errorf("failed cell lost its error: %+v", m.Cells[2])
 	}
+	// The variant reaches every event and the manifest record of its
+	// cell; a plain cell carries none.
+	for _, ev := range evs {
+		if want := map[string]string{"ccc": "smt+cyc"}[ev.Cell]; ev.Variant != want {
+			t.Errorf("%s event of cell %s has variant %q, want %q", ev.Event, ev.Cell, ev.Variant, want)
+		}
+	}
+	if m.Cells[2].Variant != "smt+cyc" || m.Cells[0].Variant != "" || m.Cells[1].Variant != "" {
+		t.Errorf("manifest variants = %q %q %q, want \"\" \"\" \"smt+cyc\"",
+			m.Cells[0].Variant, m.Cells[1].Variant, m.Cells[2].Variant)
+	}
 }
 
 // TestNilRecorder: the disabled path must be safe to call everywhere.
@@ -267,7 +278,10 @@ func TestManifestWriteAtomic(t *testing.T) {
 		StartedAt: time.Now().Truncate(time.Second),
 		Config:    RunConfig{Refs: 1 << 20, Seed: 42, Target: "-fig 10"},
 		Exit:      ExitStatus{Status: "interrupted", Code: 130, Error: "context canceled"},
-		Cells:     []CellRecord{{Cell: "aaa", Workload: "gups", Setup: "TPS", Status: StatusOK, WallS: 1.5}},
+		Cells: []CellRecord{
+			{Cell: "aaa", Workload: "gups", Setup: "TPS", Status: StatusOK, WallS: 1.5},
+			{Cell: "bbb", Workload: "gups", Setup: "TPS", Variant: "frag+cyc", Status: StatusOK, WallS: 2.5},
+		},
 	}
 	if err := WriteManifest(path, m); err != nil {
 		t.Fatal(err)
@@ -281,7 +295,7 @@ func TestManifestWriteAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Exit.Status != "ok" || got.Version != m.Version || len(got.Cells) != 1 {
+	if got.Exit.Status != "ok" || got.Version != m.Version || !reflect.DeepEqual(got.Cells, m.Cells) {
 		t.Errorf("manifest did not round-trip: %+v", got)
 	}
 	ents, err := os.ReadDir(dir)
